@@ -1,4 +1,4 @@
-// ABFT fault-injection validation harness (DESIGN.md §17): proves the
+// ABFT fault-injection validation harness (DESIGN.md §15): proves the
 // checksum layer's safety contract over a grid of operating points --
 //
 //   1. Fault-free (part A): the 10-point mlp_inference operating grid runs

@@ -6,7 +6,6 @@
 //
 // The single precise HotSpot reference run is a memoized sweep point
 // (--cache-dir=DIR persists its counters); the DVFS rows are analytic.
-#include <chrono>
 #include <cstdio>
 
 #include "apps/hotspot.h"
@@ -15,7 +14,7 @@
 #include "common/sweep_flags.h"
 #include "common/table.h"
 #include "runtime/parallel.h"
-#include "sweep/json.h"
+#include "sweep/bench_run.h"
 #include "sweep/sweep.h"
 
 using namespace ihw;
@@ -46,15 +45,13 @@ int main(int argc, char** argv) try {
   std::printf("[runtime] threads=%d\n",
               runtime::configure_threads_from_args(args));
   const auto flags = common::SweepFlags::from_args(args);
-  sweep::EvalCache cache(flags.cache_dir);
-  cache.attach_journal("ablation_dvfs", flags.resume);
+  sweep::BenchRun run("ablation_dvfs", flags);
   const sweep::FailPolicy policy = sweep::make_fail_policy(flags);
   const std::string json_path = args.get("json", "");
   HotspotParams p;
   p.rows = p.cols = static_cast<std::size_t>(args.get_int("size", 192));
   p.iterations = 20;
 
-  const auto t0 = std::chrono::steady_clock::now();
   const IhwConfig precise = IhwConfig::precise();
   const sweep::Workload workload{
       "hotspot",
@@ -70,12 +67,8 @@ int main(int argc, char** argv) try {
                       });
                       return rec;
                     }});
-  const auto grid = sweep::run_grid(points, &cache, policy);
-  if (sweep::drain_requested()) {
-    std::fprintf(stderr, "[sweep] drained (rerun with --resume): %s\n",
-                 grid.health.summary().c_str());
-    return sweep::kDrainExitCode;
-  }
+  const auto grid = sweep::run_grid(points, &run.cache(), policy);
+  if (run.drained(grid.health)) return sweep::kDrainExitCode;
   if (grid.status[0] == sweep::PointStatus::Failed) {
     std::fprintf(stderr, "[sweep] point 0 failed: %s\n",
                  grid.error_message(0).c_str());
@@ -128,31 +121,9 @@ int main(int argc, char** argv) try {
               "reaching ~%.0f%%+ saving where neither alone can)\n",
               (1.0 - apply_dvfs(rep.breakdown, ihw_saving, 0.8).power_w /
                          base_w) * 100.0);
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  std::fprintf(stderr,
-               "[sweep] hits=%llu misses=%llu disk_hits=%llu stores=%llu "
-               "elapsed_ms=%.1f | %s\n",
-               static_cast<unsigned long long>(cache.hits()),
-               static_cast<unsigned long long>(cache.misses()),
-               static_cast<unsigned long long>(cache.disk_hits()),
-               static_cast<unsigned long long>(cache.stores()), ms,
-               grid.health.summary().c_str());
-  if (!json_path.empty()) {
-    sweep::Json doc = sweep::Json::object();
-    doc.set("bench", "ablation_dvfs")
-        .set("size", static_cast<std::uint64_t>(p.rows))
-        .set("elapsed_ms", ms)
-        .set("cache_hits", cache.hits())
-        .set("cache_misses", cache.misses())
-        .set("disk_hits", cache.disk_hits())
-        .set("health", grid.health.to_json())
-        .set("rows", std::move(rows));
-    if (!doc.write_file(json_path))
-      std::fprintf(stderr, "[sweep] failed to write %s\n", json_path.c_str());
-  }
-  return 0;
+  return run.finish(grid.health, json_path, std::move(rows),
+                    sweep::Json::object().set(
+                        "size", static_cast<std::uint64_t>(p.rows)));
 } catch (const ihw::common::ArgError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

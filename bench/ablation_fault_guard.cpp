@@ -43,7 +43,7 @@
 #include "quality/grid_metrics.h"
 #include "quality/ssim.h"
 #include "runtime/parallel.h"
-#include "sweep/json.h"
+#include "sweep/bench_run.h"
 #include "sweep/shared.h"
 #include "sweep/sweep.h"
 
@@ -78,8 +78,7 @@ int main(int argc, char** argv) try {
       args.get_int("seed", 0x51ce));
   const bool retry = args.get_bool("retry", false);
   const auto flags = common::SweepFlags::from_args(args);
-  sweep::EvalCache cache(flags.cache_dir);
-  cache.attach_journal("ablation_fault_guard", flags.resume);
+  sweep::BenchRun run("ablation_fault_guard", flags);
   const sweep::FailPolicy policy = sweep::make_fail_policy(flags);
   const std::string json_path = args.get("json", "");
 
@@ -87,8 +86,6 @@ int main(int argc, char** argv) try {
   if (args.has("fault-rate")) rates = {args.get_double("fault-rate", 0.0)};
   std::vector<bool> guards = {false, true};
   if (args.has("guard")) guards = {args.get_bool("guard", true)};
-
-  const auto t0 = std::chrono::steady_clock::now();
 
   HotspotParams hp;
   hp.rows = hp.cols = size;
@@ -165,7 +162,7 @@ int main(int argc, char** argv) try {
 
   // --abft arm: the same fault-rate axis applied to MLP inference, comparing
   // the three protection schemes head to head -- nothing, GuardedDispatch's
-  // per-op precise screen, and the checksum ABFT layer (DESIGN.md §17).
+  // per-op precise screen, and the checksum ABFT layer (DESIGN.md §15).
   // Quality is the logit MAE against the fault-free *imprecise* run, so a
   // perfect protection scheme scores 0 even though the multiplier is
   // approximate; elapsed_ms shows what each scheme costs.
@@ -237,12 +234,8 @@ int main(int argc, char** argv) try {
     }
   }
 
-  const auto grid = sweep::run_grid(points, &cache, policy);
-  if (sweep::drain_requested()) {
-    std::fprintf(stderr, "[sweep] drained (rerun with --resume): %s\n",
-                 grid.health.summary().c_str());
-    return sweep::kDrainExitCode;
-  }
+  const auto grid = sweep::run_grid(points, &run.cache(), policy);
+  if (run.drained(grid.health)) return sweep::kDrainExitCode;
   for (std::size_t i = 0; i < points.size(); ++i)
     if (grid.status[i] == sweep::PointStatus::Failed)
       std::fprintf(stderr, "[sweep] point %zu failed: %s\n", i,
@@ -334,31 +327,9 @@ int main(int argc, char** argv) try {
         "O(M*N + M*K + K*N) per GEMM where the per-op guard doubles every "
         "multiply)\n");
   }
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  std::fprintf(stderr,
-               "[sweep] hits=%llu misses=%llu disk_hits=%llu stores=%llu "
-               "elapsed_ms=%.1f | %s\n",
-               static_cast<unsigned long long>(cache.hits()),
-               static_cast<unsigned long long>(cache.misses()),
-               static_cast<unsigned long long>(cache.disk_hits()),
-               static_cast<unsigned long long>(cache.stores()), ms,
-               grid.health.summary().c_str());
-  if (!json_path.empty()) {
-    sweep::Json doc = sweep::Json::object();
-    doc.set("bench", "ablation_fault_guard")
-        .set("size", static_cast<std::uint64_t>(size))
-        .set("elapsed_ms", ms)
-        .set("cache_hits", cache.hits())
-        .set("cache_misses", cache.misses())
-        .set("disk_hits", cache.disk_hits())
-        .set("health", grid.health.to_json())
-        .set("rows", std::move(jrows));
-    if (!doc.write_file(json_path))
-      std::fprintf(stderr, "[sweep] failed to write %s\n", json_path.c_str());
-  }
-  return grid.health.failures > 0 ? sweep::kPointFailureExitCode : 0;
+  return run.finish(grid.health, json_path, std::move(jrows),
+                    sweep::Json::object().set(
+                        "size", static_cast<std::uint64_t>(size)));
 } catch (const ihw::common::ArgError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -6,7 +6,6 @@
 // Runs through the memoizing sweep engine: units with the same operand
 // recipe share one quasi-MC stream (and exact-Mul reference), and every
 // unit's PMF is memoized by fingerprint (--cache-dir=DIR persists it).
-#include <chrono>
 #include <cstdio>
 
 #include "common/args.h"
@@ -14,7 +13,7 @@
 #include "common/table.h"
 #include "error/characterize.h"
 #include "runtime/parallel.h"
-#include "sweep/json.h"
+#include "sweep/bench_run.h"
 #include "sweep/sweep.h"
 
 using namespace ihw;
@@ -27,8 +26,7 @@ int main(int argc, char** argv) try {
   const auto samples =
       static_cast<std::uint64_t>(args.get_int("samples", 4'000'000));
   const auto flags = common::SweepFlags::from_args(args);
-  sweep::EvalCache cache(flags.cache_dir);
-  cache.attach_journal("fig08_error_char", flags.resume);
+  sweep::BenchRun run("fig08_error_char", flags);
   const std::string json_path = args.get("json", "");
 
   const error::UnitKind kinds[] = {
@@ -39,18 +37,13 @@ int main(int argc, char** argv) try {
 
   std::printf("== Fig. 8: 32-bit IHW error PMFs (%llu quasi-MC inputs) ==\n",
               static_cast<unsigned long long>(samples));
-  const auto t0 = std::chrono::steady_clock::now();
   std::vector<sweep::CharPoint> points;
   for (auto k : kinds) points.push_back({k, 0, samples});
   std::vector<char> hits;
   sweep::HealthReport health;
   const auto results =
-      sweep::characterize_grid32(points, &cache, &hits, &health);
-  if (sweep::drain_requested()) {
-    std::fprintf(stderr, "[sweep] drained (rerun with --resume): %s\n",
-                 health.summary().c_str());
-    return sweep::kDrainExitCode;
-  }
+      sweep::characterize_grid32(points, &run.cache(), &hits, &health);
+  if (run.drained(health)) return sweep::kDrainExitCode;
 
   // One table: rows = log2 bucket, columns = units.
   int lo = 8, hi = -24;
@@ -76,20 +69,8 @@ int main(int argc, char** argv) try {
   std::printf("%s", t.str().c_str());
   std::printf("(fpadd and log2 are frequent-small-magnitude; the others "
               "cluster toward -- but stay below -- their analytic bound)\n");
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-
-  std::fprintf(stderr,
-               "[sweep] hits=%llu misses=%llu disk_hits=%llu stores=%llu "
-               "elapsed_ms=%.1f | %s\n",
-               static_cast<unsigned long long>(cache.hits()),
-               static_cast<unsigned long long>(cache.misses()),
-               static_cast<unsigned long long>(cache.disk_hits()),
-               static_cast<unsigned long long>(cache.stores()), ms,
-               health.summary().c_str());
+  sweep::Json rows = sweep::Json::array();
   if (!json_path.empty()) {
-    sweep::Json rows = sweep::Json::array();
     for (std::size_t i = 0; i < results.size(); ++i) {
       char hex[24];
       std::snprintf(hex, sizeof hex, "%016llx",
@@ -103,19 +84,10 @@ int main(int argc, char** argv) try {
                     .set("cache_hit", hits[i] != 0)
                     .set("status", hits[i] != 0 ? "cache_hit" : "evaluated"));
     }
-    sweep::Json doc = sweep::Json::object();
-    doc.set("bench", "fig08_error_char")
-        .set("samples", static_cast<std::uint64_t>(samples))
-        .set("elapsed_ms", ms)
-        .set("cache_hits", cache.hits())
-        .set("cache_misses", cache.misses())
-        .set("disk_hits", cache.disk_hits())
-        .set("health", health.to_json())
-        .set("rows", std::move(rows));
-    if (!doc.write_file(json_path))
-      std::fprintf(stderr, "[sweep] failed to write %s\n", json_path.c_str());
   }
-  return 0;
+  return run.finish(health, json_path, std::move(rows),
+                    sweep::Json::object().set(
+                        "samples", static_cast<std::uint64_t>(samples)));
 } catch (const ihw::common::ArgError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

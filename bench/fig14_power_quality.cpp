@@ -6,15 +6,11 @@
 // The characterization grid runs through the memoizing sweep engine
 // (DESIGN.md §11): all datapaths of one precision share a single quasi-MC
 // operand stream and exact-reference pass, and every point is memoized by
-// fingerprint -- pass --cache-dir=DIR to persist records across runs. With
-// --server=SOCKET the grid is evaluated by a running ihw_sweepd daemon
-// instead (DESIGN.md §13); results are bit-exact either way, so stdout is
-// byte-identical between the two modes (and to the pre-sweep implementation).
-#include <chrono>
+// fingerprint -- pass --cache-dir=DIR to persist records across runs, or to
+// share them between concurrent runs. Results are bit-exact either way, so
+// stdout is byte-identical to a cache-less run (and to the pre-sweep
+// implementation).
 #include <cstdio>
-#include <functional>
-
-#include <memory>
 
 #include "common/args.h"
 #include "common/sweep_flags.h"
@@ -22,26 +18,19 @@
 #include "error/characterize.h"
 #include "power/nfm.h"
 #include "runtime/parallel.h"
-#include "serve/resilient_client.h"
-#include "sweep/json.h"
+#include "sweep/bench_run.h"
 #include "sweep/sweep.h"
 
 using namespace ihw;
 
 namespace {
 
-/// Evaluates one characterization grid: either the in-process shared-stream
-/// engine or a round trip through the daemon. Both produce bit-identical
-/// CharResults in point order and fill the per-point warm flags.
-using CharGridFn = std::function<std::vector<error::CharResult>(
-    const std::vector<sweep::CharPoint>& points, bool is64,
-    std::vector<char>* hits)>;
-
 // Returns false when a graceful drain interrupted the grid: nothing is
 // printed for this precision (stdout stays all-or-nothing) and the caller
 // exits with the drain code; completed groups are already journaled.
-bool sweep_precision(bool is64, std::uint64_t samples, const power::SynthesisDb& db,
-           const CharGridFn& grid_fn, sweep::Json* json_rows) {
+bool sweep_precision(bool is64, std::uint64_t samples,
+                     const power::SynthesisDb& db, sweep::EvalCache* cache,
+                     sweep::HealthReport* health, sweep::Json* json_rows) {
   const double dw =
       db.multiplier(MulMode::Precise, 0, is64).power_mw;
   struct Line {
@@ -66,7 +55,9 @@ bool sweep_precision(bool is64, std::uint64_t samples, const power::SynthesisDb&
   for (const auto& l : lines)
     for (int tr : l.trs) points.push_back({l.kind, tr, samples});
   std::vector<char> hits;
-  const auto results = grid_fn(points, is64, &hits);
+  const auto results =
+      is64 ? sweep::characterize_grid64(points, cache, &hits, health)
+           : sweep::characterize_grid32(points, cache, &hits, health);
   if (sweep::drain_requested()) return false;
 
   common::Table t({"datapath", "trunc", "max err%", "power(mW)", "reduction"});
@@ -115,103 +106,27 @@ int main(int argc, char** argv) try {
               runtime::configure_threads_from_args(args));
   const auto samples =
       static_cast<std::uint64_t>(args.get_int("samples", 400'000));
-  const auto flags = common::SweepFlags::from_args(args);
-  // In server mode the cache and journal belong to the daemon.
-  sweep::EvalCache cache(flags.server_mode() ? "" : flags.cache_dir);
-  if (!flags.server_mode())
-    cache.attach_journal("fig14_power_quality", flags.resume);
+  sweep::BenchRun run("fig14_power_quality",
+                      common::SweepFlags::from_args(args));
   const std::string json_path = args.get("json", "");
   sweep::Json rows = sweep::Json::array();
+  sweep::Json* json_rows = json_path.empty() ? nullptr : &rows;
   sweep::HealthReport health;
 
-  // Server mode goes through the resilient client (DESIGN.md §14): lazy
-  // connect, retries with deterministic backoff, and -- unless
-  // --server-no-fallback -- degradation to in-process evaluation, so a dead
-  // or flapping daemon still yields byte-identical stdout and exit 0.
-  std::unique_ptr<serve::ResilientClient> client;
-  CharGridFn grid_fn;
-  if (flags.server_mode()) {
-    serve::RetryPolicy policy;
-    policy.deadline_ms = flags.server_deadline_ms;
-    policy.local_fallback = !flags.server_no_fallback;
-    client = std::make_unique<serve::ResilientClient>(flags.server, policy);
-    grid_fn = [&client, &health](const std::vector<sweep::CharPoint>& pts,
-                                 bool is64, std::vector<char>* hits) {
-      const auto res = client->characterize(pts, is64);
-      std::vector<error::CharResult> out;
-      out.reserve(res.size());
-      hits->clear();
-      for (const auto& r : res) {
-        out.push_back(r.rec.chr);
-        hits->push_back(r.served_warm() ? 1 : 0);
-        ++health.points;
-        if (r.served_warm())
-          ++health.cache_hits;
-        else
-          ++health.evaluated;
-      }
-      return out;
-    };
-  } else {
-    grid_fn = [&cache, &health](const std::vector<sweep::CharPoint>& pts,
-                                bool is64, std::vector<char>* hits) {
-      return is64 ? sweep::characterize_grid64(pts, &cache, hits, &health)
-                  : sweep::characterize_grid32(pts, &cache, hits, &health);
-    };
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
   const power::SynthesisDb db;
   std::printf("== Fig. 14: power-quality trade-off, accuracy-configurable "
               "multiplier ==\n");
-  bool done = false;
-  try {
-    done = sweep_precision(false, samples, db, grid_fn,
-                           json_path.empty() ? nullptr : &rows) &&
-           sweep_precision(true, samples, db, grid_fn,
-                           json_path.empty() ? nullptr : &rows);
-  } catch (const serve::ServeError& e) {
-    std::fprintf(stderr, "[serve] %s failed: %s (code=%s)\n",
-                 flags.server.c_str(), e.what(), e.code().c_str());
-    return e.retryable() ? sweep::kDrainExitCode
-                         : sweep::kPointFailureExitCode;
-  }
-  if (!done) {
-    std::fprintf(stderr, "[sweep] drained (rerun with --resume): %s\n",
-                 health.summary().c_str());
+  if (!sweep_precision(false, samples, db, &run.cache(), &health, json_rows) ||
+      !sweep_precision(true, samples, db, &run.cache(), &health, json_rows)) {
+    run.drained(health);
     return sweep::kDrainExitCode;
   }
   std::printf("(paper: log path >25X at tr19 / 18%% err; intuitive "
               "truncation saturates near 2.3X at ~21%% err; 49X at tr48 for "
               "64-bit)\n");
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-
-  std::fprintf(stderr,
-               "[sweep] hits=%llu misses=%llu disk_hits=%llu stores=%llu "
-               "elapsed_ms=%.1f | %s\n",
-               static_cast<unsigned long long>(cache.hits()),
-               static_cast<unsigned long long>(cache.misses()),
-               static_cast<unsigned long long>(cache.disk_hits()),
-               static_cast<unsigned long long>(cache.stores()), ms,
-               health.summary().c_str());
-  if (client)
-    std::fprintf(stderr, "[serve] %s\n", client->stats_summary().c_str());
-  if (!json_path.empty()) {
-    sweep::Json doc = sweep::Json::object();
-    doc.set("bench", "fig14_power_quality")
-        .set("samples", static_cast<std::uint64_t>(samples))
-        .set("elapsed_ms", ms)
-        .set("cache_hits", cache.hits())
-        .set("cache_misses", cache.misses())
-        .set("disk_hits", cache.disk_hits())
-        .set("health", health.to_json())
-        .set("rows", std::move(rows));
-    if (!doc.write_file(json_path))
-      std::fprintf(stderr, "[sweep] failed to write %s\n", json_path.c_str());
-  }
-  return 0;
+  return run.finish(health, json_path, std::move(rows),
+                    sweep::Json::object().set(
+                        "samples", static_cast<std::uint64_t>(samples)));
 } catch (const ihw::common::ArgError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -4,9 +4,7 @@
 // through the memoizing sweep engine. Each point's counters feed the
 // GPUWattch-style model, so the table reads as the paper's Fig. 12-style
 // trade: how much system power the matrix unit can shed before the
-// classifier starts dropping samples. The "mlp" points are the same recipe
-// ihw_sweepd serves (src/serve/workloads.cpp), fingerprinted identically.
-#include <chrono>
+// classifier starts dropping samples.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -17,7 +15,7 @@
 #include "common/sweep_flags.h"
 #include "common/table.h"
 #include "sweep/fingerprint.h"
-#include "sweep/json.h"
+#include "sweep/bench_run.h"
 #include "sweep/sweep.h"
 
 using namespace ihw;
@@ -74,8 +72,7 @@ int main(int argc, char** argv) try {
   std::printf("[runtime] threads=%d\n",
               runtime::configure_threads_from_args(args));
   const auto flags = common::SweepFlags::from_args(args);
-  sweep::EvalCache cache(flags.cache_dir);
-  cache.attach_journal("mlp_inference", flags.resume);
+  sweep::BenchRun run("mlp_inference", flags);
   const sweep::FailPolicy policy = sweep::make_fail_policy(flags);
   const std::string json_path = args.get("json", "");
 
@@ -114,9 +111,8 @@ int main(int argc, char** argv) try {
        acc(gemm::AccumMode::kFp32, 0)},
   };
 
-  const auto t0 = std::chrono::steady_clock::now();
   // --abft=detect|recover re-runs the whole operating-point grid with the
-  // checksum layer on (DESIGN.md §17); the default keeps it off and the
+  // checksum layer on (DESIGN.md §15); the default keeps it off and the
   // output byte-identical to the pre-ABFT bench.
   const auto abft_mode = static_cast<gemm::AbftMode>(flags.abft);
   std::vector<sweep::GridPoint> points;
@@ -145,12 +141,8 @@ int main(int argc, char** argv) try {
                         return rec;
                       }});
   }
-  const auto out = sweep::run_grid(points, &cache, policy);
-  if (sweep::drain_requested()) {
-    std::fprintf(stderr, "[sweep] drained (rerun with --resume): %s\n",
-                 out.health.summary().c_str());
-    return sweep::kDrainExitCode;
-  }
+  const auto out = sweep::run_grid(points, &run.cache(), policy);
+  if (run.drained(out.health)) return sweep::kDrainExitCode;
 
   std::vector<std::string> headers = {"configuration", "accuracy", "acc drop",
                                       "sys saving"};
@@ -216,30 +208,7 @@ int main(int argc, char** argv) try {
               "savings, the TH-threshold accumulator trades the last "
               "percents for adder power)\n");
 
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  std::fprintf(stderr,
-               "[sweep] hits=%llu misses=%llu disk_hits=%llu stores=%llu "
-               "elapsed_ms=%.1f | %s\n",
-               static_cast<unsigned long long>(cache.hits()),
-               static_cast<unsigned long long>(cache.misses()),
-               static_cast<unsigned long long>(cache.disk_hits()),
-               static_cast<unsigned long long>(cache.stores()), ms,
-               out.health.summary().c_str());
-  if (!json_path.empty()) {
-    sweep::Json doc = sweep::Json::object();
-    doc.set("bench", "mlp_inference")
-        .set("elapsed_ms", ms)
-        .set("cache_hits", cache.hits())
-        .set("cache_misses", cache.misses())
-        .set("disk_hits", cache.disk_hits())
-        .set("health", out.health.to_json())
-        .set("rows", std::move(rows));
-    if (!doc.write_file(json_path))
-      std::fprintf(stderr, "[sweep] failed to write %s\n", json_path.c_str());
-  }
-  return 0;
+  return run.finish(out.health, json_path, std::move(rows));
 } catch (const ihw::common::ArgError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -1,26 +1,18 @@
 #pragma once
-// Process exit codes shared by the sweep benches, the evaluation daemon, and
-// the CI tooling that inspects them. Extracted here (from sweep/health.h)
-// so the codes have exactly one definition: the bench binaries, ihw_sweepd,
-// and tools/crash_recovery_test.py all key off these values.
+// Process exit codes shared by the sweep benches and the CI tooling that
+// inspects them. Extracted here (from sweep/health.h) so the codes have
+// exactly one definition: the bench binaries and
+// tools/crash_recovery_test.py both key off these values.
 
 namespace ihw::common {
 
-/// A bench or daemon drained gracefully after SIGINT/SIGTERM: in-flight
-/// points finished and were checkpointed, the rest were skipped. EX_TEMPFAIL
-/// by convention -- "interrupted but resumable", rerun with --resume.
+/// A bench drained gracefully after SIGINT/SIGTERM: in-flight points
+/// finished and were checkpointed, the rest were skipped. EX_TEMPFAIL by
+/// convention -- "interrupted but resumable", rerun with --resume.
 inline constexpr int kExitDrained = 75;
 
 /// A sweep completed under FailPolicy::isolate (--isolate) with at least one
 /// failed point: the healthy rows are valid, but the run is not clean.
-/// Server-mode benches also use this for fatal (non-retryable) ServeErrors:
-/// retrying or falling back locally cannot change the outcome.
 inline constexpr int kExitPointFailure = 3;
-
-/// Malformed command line (ArgError or missing required flag). Also the
-/// exit for a retryable ServeError that exhausted its budget when local
-/// fallback was disabled would be kExitDrained (75), not this: the work is
-/// recoverable, the invocation was fine.
-inline constexpr int kExitUsage = 1;
 
 }  // namespace ihw::common

@@ -10,11 +10,6 @@ SweepFlags SweepFlags::from_args(const Args& args) {
   f.resume = args.resume();
   f.isolate = args.get_bool("isolate", false);
   f.deadline_s = args.deadline();
-  f.server = args.get("server", "");
-  const auto deadline_ms = args.get_int("server-deadline-ms", 0);
-  f.server_deadline_ms =
-      deadline_ms > 0 ? static_cast<std::uint64_t>(deadline_ms) : 0;
-  f.server_no_fallback = args.get_bool("server-no-fallback", false);
   f.abft = parse_abft_flag(args);
   return f;
 }

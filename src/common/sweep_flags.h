@@ -1,10 +1,8 @@
 #pragma once
 // The CLI surface every sweep-engine bench shares, parsed in one place
-// instead of five copies: the cache/resilience flags of DESIGN.md §11-§12
-// (--cache-dir, --resume, --isolate, --deadline) plus the --server flag that
-// turns a bench into a thin client of a running ihw_sweepd evaluation daemon
-// (DESIGN.md §13).
-#include <cstdint>
+// instead of six copies: the cache/resilience flags of DESIGN.md §11-§12
+// (--cache-dir, --resume, --isolate, --deadline) plus the tile-GEMM --abft
+// mode.
 #include <string>
 
 namespace ihw::common {
@@ -20,26 +18,10 @@ struct SweepFlags {
   bool isolate = false;
   /// --deadline=S: per-point soft watchdog deadline, 0 disables.
   double deadline_s = 0.0;
-  /// --server=SOCKET: evaluate through the ihw_sweepd daemon listening on
-  /// this Unix-domain socket instead of in-process. The bench becomes a thin
-  /// client with byte-identical stdout; the cache/journal flags then belong
-  /// to the daemon, not the bench.
-  std::string server;
-  /// --server-deadline-ms=N: per-request server-side deadline forwarded on
-  /// every daemon op (0 = none). Requests still queued past it get a typed
-  /// retryable refusal instead of an answer nobody is waiting for.
-  std::uint64_t server_deadline_ms = 0;
-  /// --server-no-fallback: surface daemon failures to the exit code instead
-  /// of degrading to in-process evaluation (the default keeps --server
-  /// benches byte-identical and exit-0 even with a dead daemon).
-  bool server_no_fallback = false;
   /// --abft=off|detect|recover: checksum fault detection on the tile-GEMM
-  /// path (DESIGN.md §17). Stored as int so common/ stays gemm-agnostic;
+  /// path (DESIGN.md §15). Stored as int so common/ stays gemm-agnostic;
   /// matches gemm::AbftMode (0 = off, 1 = detect, 2 = recover).
   int abft = 0;
-
-  /// True when the bench should run as a daemon client.
-  bool server_mode() const { return !server.empty(); }
 
   /// Parses the shared flags (strict numeric validation via Args; throws
   /// ArgError on malformed values).

@@ -1,4 +1,4 @@
-// ABFT verification and recovery for the tile-GEMM engine (DESIGN.md §17).
+// ABFT verification and recovery for the tile-GEMM engine (DESIGN.md §15).
 // Everything here runs serially on the caller's thread after the main MAC
 // pass: the checksum math is plain fp64 host arithmetic (the dedicated
 // checksum unit sits at nominal voltage, outside the power model), and the

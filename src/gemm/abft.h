@@ -1,5 +1,5 @@
 #pragma once
-// ABFT layer for the tile-GEMM engine (DESIGN.md §17): Huang-Abraham-style
+// ABFT layer for the tile-GEMM engine (DESIGN.md §15): Huang-Abraham-style
 // row/column checksum verification with PMF-calibrated thresholds and
 // localized block recovery.
 //

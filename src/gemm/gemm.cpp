@@ -1,4 +1,4 @@
-// Tile-GEMM engine (DESIGN.md §16). Two execution paths under one
+// Tile-GEMM engine (DESIGN.md §14). Two execution paths under one
 // numerical contract:
 //
 //  - run(), unscreened: BLIS-style jc(nc) -> kc -> rows blocking per
@@ -271,7 +271,7 @@ void run(const float* A, const float* B, float* C, int M, int N, int K,
         cfg.threads);
   }
 
-  // ABFT checksum verification + localized recovery (DESIGN.md §17),
+  // ABFT checksum verification + localized recovery (DESIGN.md §15),
   // serial on the caller's thread so counters and any recovery recompute
   // are schedule-invariant.
   if (cfg.abft != AbftMode::kOff) abft::verify(A, B, C, M, N, K, cfg);

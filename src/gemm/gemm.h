@@ -1,5 +1,5 @@
 #pragma once
-// Batched tile-GEMM on the imprecise span kernels (DESIGN.md §16): the
+// Batched tile-GEMM on the imprecise span kernels (DESIGN.md §14): the
 // tensor-core-style matrix unit the 2014 paper predates. The multiply array
 // is whatever the ambient gpu::FpContext configures (precise, ifp_mul,
 // Mitchell, bit-truncated -- the Table 1 datapaths through the fused
@@ -39,7 +39,7 @@ enum class AccumMode { kFp32, kFp32Trunc, kIfpAdd, kWideFp64 };
 
 std::string to_string(AccumMode m);
 
-/// ABFT protection level of a run() call (DESIGN.md §17). kDetect verifies
+/// ABFT protection level of a run() call (DESIGN.md §15). kDetect verifies
 /// Huang-Abraham row/column checksums against a PMF-calibrated threshold
 /// after the compute; kRecover additionally recomputes every flagged
 /// (row-block, col-block) intersection through the screened guarded-dispatch

@@ -84,7 +84,7 @@ class ScopedContext {
 /// no-ops, so the caller's GuardedDispatch epoch labelling and breaker state
 /// are untouched. Used by side computations that must not perturb the run
 /// they observe, e.g. the ABFT layer deriving its detection threshold from
-/// error::characterize32 while a gemm::run is mid-flight (DESIGN.md §17).
+/// error::characterize32 while a gemm::run is mid-flight (DESIGN.md §15).
 class ScopedNoContext {
  public:
   ScopedNoContext() : prev_(FpContext::tls_current_) {

@@ -24,7 +24,7 @@
 // polynomials behind out-of-line calls); their span kernels still amortize
 // dispatch and counter overhead.
 //
-// Runtime ISA dispatch (DESIGN.md §15): each float span wrapper first
+// Runtime ISA dispatch (DESIGN.md §13): each float span wrapper first
 // consults the active simd::KernelTable; a non-null entry is a hand-
 // vectorized AVX2/AVX-512 backend that is bit-identical to the loop below
 // and takes over the whole span. A null entry (the scalar table, every

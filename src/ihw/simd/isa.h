@@ -1,5 +1,5 @@
 #pragma once
-// Runtime ISA dispatch for the span kernels of ihw/batch.h (DESIGN.md §15).
+// Runtime ISA dispatch for the span kernels of ihw/batch.h (DESIGN.md §13).
 //
 // The batched span kernels are pure integer select chains, so a default
 // (portable baseline) build used to leave their throughput to whatever the

@@ -1,4 +1,4 @@
-// Hand-vectorized AVX2 backends of the float span kernels (DESIGN.md §15).
+// Hand-vectorized AVX2 backends of the float span kernels (DESIGN.md §13).
 //
 // Every function here is a transcription of the corresponding scalar lane in
 // ihw/batch.h into 8-lane 32-bit integer intrinsics: the same flush /
@@ -25,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "ihw/batch.h"
 #include "ihw/simd/isa.h"
 
 namespace ihw::simd {
@@ -45,6 +44,21 @@ inline __m256i load8(const float* p) {
 }
 inline void store8(float* p, __m256i v) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+// The n % 8 tail of a span runs one more vector step through these masked
+// forms, which touch only its first m lanes. The tail must not fall back to
+// the scalar lanes of ihw/batch.h: instantiating those shared inline
+// templates here would emit weak copies compiled for AVX2, and the linker
+// may keep that copy for the portable callers too.
+inline __m256i tail_mask(std::size_t m) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(m)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline __m256i load8(const float* p, std::size_t m) {
+  return _mm256_maskload_epi32(reinterpret_cast<const int*>(p), tail_mask(m));
+}
+inline void store8(float* p, __m256i v, std::size_t m) {
+  _mm256_maskstore_epi32(reinterpret_cast<int*>(p), tail_mask(m), v);
 }
 /// r = mask ? yes : no, with `mask` an all-ones-per-lane compare result.
 inline __m256i sel(__m256i no, __m256i yes, __m256i mask) {
@@ -144,9 +158,8 @@ void ifp_mul_f32(const float* a, const float* b, float* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)
     store8(out + i, ifp_mul8(load8(a + i), load8(b + i)));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(
-        batch::detail::ifp_mul_lane<float>(fp::to_bits(a[i]), fp::to_bits(b[i])));
+  if (const std::size_t m = n - i)
+    store8(out + i, ifp_mul8(load8(a + i, m), load8(b + i, m)), m);
 }
 
 // --- acfp_mul, Mitchell log path -------------------------------------------
@@ -178,9 +191,8 @@ void acfp_log_f32(const float* a, const float* b, float* out, std::size_t n,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)
     store8(out + i, acfp_log8(load8(a + i), load8(b + i), keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acfp_log_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]), keep));
+  if (const std::size_t m = n - i)
+    store8(out + i, acfp_log8(load8(a + i, m), load8(b + i, m), keepv), m);
 }
 
 // --- trunc_mul -------------------------------------------------------------
@@ -228,9 +240,8 @@ void trunc_mul_f32(const float* a, const float* b, float* out, std::size_t n,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8)
     store8(out + i, trunc_mul8(load8(a + i), load8(b + i), keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::trunc_mul_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]), keep));
+  if (const std::size_t m = n - i)
+    store8(out + i, trunc_mul8(load8(a + i, m), load8(b + i, m), keepv), m);
 }
 
 // --- ifp_add ---------------------------------------------------------------
@@ -325,9 +336,11 @@ void ifp_add_f32(const float* a, const float* b, float* out, std::size_t n,
   for (; i + 8 <= n; i += 8)
     store8(out + i,
            ifp_add8(load8(a + i), _mm256_xor_si256(load8(b + i), flipv), th));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::ifp_add_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]) ^ flip, th));
+  if (const std::size_t m = n - i)
+    store8(out + i,
+           ifp_add8(load8(a + i, m), _mm256_xor_si256(load8(b + i, m), flipv),
+                    th),
+           m);
 }
 
 // --- fused multiply-accumulate ---------------------------------------------
@@ -351,10 +364,11 @@ void ifp_mac_f32(const float* a, const float* b, const float* c, float* out,
   for (; i + 8 <= n; i += 8)
     store8(out + i,
            acc8(ifp_mul8(load8(a + i), load8(b + i)), load8(c + i), th, keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::ifp_mul_lane<float>(fp::to_bits(a[i]), fp::to_bits(b[i])),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store8(out + i,
+           acc8(ifp_mul8(load8(a + i, m), load8(b + i, m)), load8(c + i, m),
+                th, keepv),
+           m);
 }
 
 void acfp_log_mac_f32(const float* a, const float* b, const float* c,
@@ -366,11 +380,11 @@ void acfp_log_mac_f32(const float* a, const float* b, const float* c,
   for (; i + 8 <= n; i += 8)
     store8(out + i, acc8(acfp_log8(load8(a + i), load8(b + i), mkeepv),
                          load8(c + i), th, akeepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::acfp_log_lane<float>(fp::to_bits(a[i]),
-                                            fp::to_bits(b[i]), keep),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store8(out + i,
+           acc8(acfp_log8(load8(a + i, m), load8(b + i, m), mkeepv),
+                load8(c + i, m), th, akeepv),
+           m);
 }
 
 void trunc_mac_f32(const float* a, const float* b, const float* c, float* out,
@@ -382,11 +396,11 @@ void trunc_mac_f32(const float* a, const float* b, const float* c, float* out,
   for (; i + 8 <= n; i += 8)
     store8(out + i, acc8(trunc_mul8(load8(a + i), load8(b + i), mkeepv),
                          load8(c + i), th, akeepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::trunc_mul_lane<float>(fp::to_bits(a[i]),
-                                             fp::to_bits(b[i]), keep),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store8(out + i,
+           acc8(trunc_mul8(load8(a + i, m), load8(b + i, m), mkeepv),
+                load8(c + i, m), th, akeepv),
+           m);
 }
 
 // --- ircp (the SFU span path) ----------------------------------------------
@@ -442,7 +456,8 @@ inline __m256i ircp8(__m256i xb) {
 void ircp_f32(const float* x, float* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) store8(out + i, ircp8(load8(x + i)));
-  for (; i < n; ++i) out[i] = ircp(x[i]);
+  if (const std::size_t m = n - i)
+    store8(out + i, ircp8(load8(x + i, m)), m);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Hand-vectorized AVX-512 backends of the float span kernels (DESIGN.md §15).
+// Hand-vectorized AVX-512 backends of the float span kernels (DESIGN.md §13).
 //
 // Same lane-for-lane transcription of the scalar select chains in ihw/batch.h
 // as kernels_avx2.cpp, at 16 lanes per iteration with mask-register
@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "ihw/batch.h"
 #include "ihw/simd/isa.h"
 
 namespace ihw::simd {
@@ -39,6 +38,20 @@ inline __m512i load16(const float* p) {
 }
 inline void store16(float* p, __m512i v) {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
+}
+// The n % 16 tail of a span runs one more vector step through these masked
+// forms, which touch only its first m lanes. The tail must not fall back to
+// the scalar lanes of ihw/batch.h: instantiating those shared inline
+// templates here would emit weak copies compiled for AVX-512, and the
+// linker may keep that copy for the portable callers too.
+inline __mmask16 tail_mask(std::size_t m) {
+  return static_cast<__mmask16>((1u << m) - 1u);
+}
+inline __m512i load16(const float* p, std::size_t m) {
+  return _mm512_maskz_loadu_epi32(tail_mask(m), p);
+}
+inline void store16(float* p, __m512i v, std::size_t m) {
+  _mm512_mask_storeu_epi32(p, tail_mask(m), v);
 }
 /// r = mask ? yes : no, per 32-bit lane.
 inline __m512i sel(__m512i no, __m512i yes, __mmask16 mask) {
@@ -135,9 +148,8 @@ void ifp_mul_f32(const float* a, const float* b, float* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16)
     store16(out + i, ifp_mul16(load16(a + i), load16(b + i)));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(
-        batch::detail::ifp_mul_lane<float>(fp::to_bits(a[i]), fp::to_bits(b[i])));
+  if (const std::size_t m = n - i)
+    store16(out + i, ifp_mul16(load16(a + i, m), load16(b + i, m)), m);
 }
 
 // --- acfp_mul, Mitchell log path -------------------------------------------
@@ -169,9 +181,8 @@ void acfp_log_f32(const float* a, const float* b, float* out, std::size_t n,
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16)
     store16(out + i, acfp_log16(load16(a + i), load16(b + i), keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acfp_log_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]), keep));
+  if (const std::size_t m = n - i)
+    store16(out + i, acfp_log16(load16(a + i, m), load16(b + i, m), keepv), m);
 }
 
 // --- trunc_mul -------------------------------------------------------------
@@ -221,9 +232,8 @@ void trunc_mul_f32(const float* a, const float* b, float* out, std::size_t n,
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16)
     store16(out + i, trunc_mul16(load16(a + i), load16(b + i), keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::trunc_mul_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]), keep));
+  if (const std::size_t m = n - i)
+    store16(out + i, trunc_mul16(load16(a + i, m), load16(b + i, m), keepv), m);
 }
 
 // --- ifp_add ---------------------------------------------------------------
@@ -317,9 +327,11 @@ void ifp_add_f32(const float* a, const float* b, float* out, std::size_t n,
   for (; i + 16 <= n; i += 16)
     store16(out + i,
             ifp_add16(load16(a + i), _mm512_xor_si512(load16(b + i), flipv), th));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::ifp_add_lane<float>(
-        fp::to_bits(a[i]), fp::to_bits(b[i]) ^ flip, th));
+  if (const std::size_t m = n - i)
+    store16(out + i,
+            ifp_add16(load16(a + i, m),
+                      _mm512_xor_si512(load16(b + i, m), flipv), th),
+            m);
 }
 
 // --- fused multiply-accumulate ---------------------------------------------
@@ -343,10 +355,11 @@ void ifp_mac_f32(const float* a, const float* b, const float* c, float* out,
   for (; i + 16 <= n; i += 16)
     store16(out + i, acc16(ifp_mul16(load16(a + i), load16(b + i)),
                            load16(c + i), th, keepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::ifp_mul_lane<float>(fp::to_bits(a[i]), fp::to_bits(b[i])),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store16(out + i,
+            acc16(ifp_mul16(load16(a + i, m), load16(b + i, m)),
+                  load16(c + i, m), th, keepv),
+            m);
 }
 
 void acfp_log_mac_f32(const float* a, const float* b, const float* c,
@@ -358,11 +371,11 @@ void acfp_log_mac_f32(const float* a, const float* b, const float* c,
   for (; i + 16 <= n; i += 16)
     store16(out + i, acc16(acfp_log16(load16(a + i), load16(b + i), mkeepv),
                            load16(c + i), th, akeepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::acfp_log_lane<float>(fp::to_bits(a[i]),
-                                            fp::to_bits(b[i]), keep),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store16(out + i,
+            acc16(acfp_log16(load16(a + i, m), load16(b + i, m), mkeepv),
+                  load16(c + i, m), th, akeepv),
+            m);
 }
 
 void trunc_mac_f32(const float* a, const float* b, const float* c, float* out,
@@ -374,11 +387,11 @@ void trunc_mac_f32(const float* a, const float* b, const float* c, float* out,
   for (; i + 16 <= n; i += 16)
     store16(out + i, acc16(trunc_mul16(load16(a + i), load16(b + i), mkeepv),
                            load16(c + i), th, akeepv));
-  for (; i < n; ++i)
-    out[i] = fp::from_bits<float>(batch::detail::acc_lane<float>(
-        batch::detail::trunc_mul_lane<float>(fp::to_bits(a[i]),
-                                             fp::to_bits(b[i]), keep),
-        fp::to_bits(c[i]), th, acc_keep));
+  if (const std::size_t m = n - i)
+    store16(out + i,
+            acc16(trunc_mul16(load16(a + i, m), load16(b + i, m), mkeepv),
+                  load16(c + i, m), th, akeepv),
+            m);
 }
 
 // --- ircp (the SFU span path) ----------------------------------------------
@@ -435,7 +448,8 @@ inline __m512i ircp16(__m512i xb) {
 void ircp_f32(const float* x, float* out, std::size_t n) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) store16(out + i, ircp16(load16(x + i)));
-  for (; i < n; ++i) out[i] = ircp(x[i]);
+  if (const std::size_t m = n - i)
+    store16(out + i, ircp16(load16(x + i, m)), m);
 }
 
 }  // namespace

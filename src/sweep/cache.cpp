@@ -86,15 +86,10 @@ EvalCache::~EvalCache() = default;
 
 void EvalCache::attach_journal(const std::string& name, bool resume) {
   if (dir_.empty()) return;
-  if (journal_) {
-    // Idempotent re-attach: the daemon hot-reopens its journal defensively
-    // after quarantine events; discarding or re-replaying here would lose or
-    // double-count committed entries.
-    if (journal_name_ == name) return;
+  if (journal_)
     throw std::logic_error("EvalCache::attach_journal: journal '" +
                            journal_name_ + "' already attached; cannot attach '" +
                            name + "'");
-  }
   journal_name_ = name;
   journal_ = std::make_unique<Journal>(dir_, schema_, name);
   if (!resume) {

@@ -78,13 +78,8 @@ class EvalCache {
   /// files left by a killed writer are swept; without it the journal starts
   /// fresh. No-op when the cache has no disk layer. Resume assumes a single
   /// writer per cache directory.
-  ///
-  /// Safe to call again on an already-attached cache: a re-attach under the
-  /// same name is an idempotent no-op (the committed journal, its entries,
-  /// and the replay counters are untouched), so a long-running daemon can
-  /// defensively re-invoke it after quarantine events without discarding or
-  /// double-replaying its journal. Re-attaching under a *different* name is
-  /// a programming error and throws std::logic_error.
+  /// Attaching a second journal to the same cache (under any name) is a
+  /// programming error and throws std::logic_error.
   void attach_journal(const std::string& name, bool resume);
 
   /// Returns the record for `fp`, consulting memory then disk.

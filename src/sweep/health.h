@@ -83,8 +83,8 @@ void request_drain();
 /// Clears the drain flag (tests; a new process starts clear).
 void reset_drain();
 
-/// Exit codes live in common/exit_codes.h (shared with the daemon and CI
-/// tooling); these aliases keep the historical sweep:: spellings working.
+/// Exit codes live in common/exit_codes.h (shared with the CI tooling);
+/// these aliases keep the historical sweep:: spellings working.
 inline constexpr int kDrainExitCode = common::kExitDrained;
 inline constexpr int kPointFailureExitCode = common::kExitPointFailure;
 

@@ -1,15 +1,10 @@
 #include "sweep/json.h"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace ihw::sweep {
 namespace {
-
-const Json kNullJson;
 
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
@@ -138,329 +133,6 @@ bool Json::write_file(const std::string& path) const {
   const std::string text = dump(2) + "\n";
   const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
   return std::fclose(f) == 0 && ok;
-}
-
-double Json::as_double(double def) const {
-  switch (kind_) {
-    case Kind::Int: return static_cast<double>(i_);
-    case Kind::Uint: return static_cast<double>(u_);
-    case Kind::Double: return d_;
-    default: return def;
-  }
-}
-
-std::int64_t Json::as_i64(std::int64_t def) const {
-  switch (kind_) {
-    case Kind::Int: return i_;
-    case Kind::Uint: return static_cast<std::int64_t>(u_);
-    case Kind::Double: return static_cast<std::int64_t>(d_);
-    default: return def;
-  }
-}
-
-std::uint64_t Json::as_u64(std::uint64_t def) const {
-  switch (kind_) {
-    case Kind::Int:
-      return i_ < 0 ? def : static_cast<std::uint64_t>(i_);
-    case Kind::Uint: return u_;
-    case Kind::Double:
-      return d_ < 0 ? def : static_cast<std::uint64_t>(d_);
-    default: return def;
-  }
-}
-
-const Json& Json::at(std::size_t i) const {
-  if (kind_ != Kind::Arr || i >= items_.size()) return kNullJson;
-  return items_[i];
-}
-
-const Json* Json::find(const std::string& key) const {
-  if (kind_ != Kind::Obj) return nullptr;
-  for (const auto& [k, v] : members_)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-const Json& Json::operator[](const std::string& key) const {
-  const Json* v = find(key);
-  return v != nullptr ? *v : kNullJson;
-}
-
-// ------------------------------------------------------------------ parsing
-
-namespace {
-
-// Recursive-descent parser. Strict: exactly one document, UTF-8 passed
-// through verbatim, \uXXXX escapes decoded (surrogate pairs included), depth
-// bounded so attacker-sized nesting cannot blow the stack -- the wire
-// protocol feeds this untrusted bytes.
-class Parser {
- public:
-  Parser(const std::string& text, std::string* err)
-      : s_(text.data()), n_(text.size()), err_(err) {}
-
-  bool run(Json* out) {
-    skip_ws();
-    if (!value(out, 0)) return false;
-    skip_ws();
-    if (pos_ != n_) return fail("trailing garbage after document");
-    return true;
-  }
-
- private:
-  static constexpr int kMaxDepth = 96;
-
-  bool fail(const char* msg) {
-    if (err_ != nullptr) {
-      char buf[160];
-      std::snprintf(buf, sizeof buf, "%s (at byte %zu)", msg, pos_);
-      *err_ = buf;
-    }
-    return false;
-  }
-
-  void skip_ws() {
-    while (pos_ < n_) {
-      const char c = s_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool literal(const char* word, Json v, Json* out) {
-    const std::size_t len = std::strlen(word);
-    if (n_ - pos_ < len || std::memcmp(s_ + pos_, word, len) != 0)
-      return fail("invalid literal");
-    pos_ += len;
-    *out = std::move(v);
-    return true;
-  }
-
-  bool hex4(unsigned* out) {
-    if (n_ - pos_ < 4) return false;
-    unsigned v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = s_[pos_ + static_cast<std::size_t>(i)];
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<unsigned>(c - 'A' + 10);
-      else return false;
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-
-  static void append_utf8(std::string& out, unsigned cp) {
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool string(std::string* out) {
-    if (pos_ >= n_ || s_[pos_] != '"') return fail("expected string");
-    ++pos_;
-    out->clear();
-    while (pos_ < n_) {
-      const unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return fail("unescaped control character in string");
-      if (c != '\\') {
-        *out += static_cast<char>(c);
-        ++pos_;
-        continue;
-      }
-      if (++pos_ >= n_) return fail("truncated escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          unsigned cp = 0;
-          if (!hex4(&cp)) return fail("bad \\u escape");
-          if (cp >= 0xD800 && cp <= 0xDBFF) {  // high surrogate: need a pair
-            unsigned lo = 0;
-            if (n_ - pos_ < 2 || s_[pos_] != '\\' || s_[pos_ + 1] != 'u')
-              return fail("lone high surrogate");
-            pos_ += 2;
-            if (!hex4(&lo) || lo < 0xDC00 || lo > 0xDFFF)
-              return fail("bad low surrogate");
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-            return fail("lone low surrogate");
-          }
-          append_utf8(*out, cp);
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool number(Json* out) {
-    const std::size_t start = pos_;
-    if (pos_ < n_ && s_[pos_] == '-') ++pos_;
-    if (pos_ >= n_ || s_[pos_] < '0' || s_[pos_] > '9')
-      return fail("malformed number");
-    if (s_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < n_ && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    }
-    bool integral = true;
-    if (pos_ < n_ && s_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      if (pos_ >= n_ || s_[pos_] < '0' || s_[pos_] > '9')
-        return fail("malformed fraction");
-      while (pos_ < n_ && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    }
-    if (pos_ < n_ && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < n_ && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= n_ || s_[pos_] < '0' || s_[pos_] > '9')
-        return fail("malformed exponent");
-      while (pos_ < n_ && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    }
-    const std::string tok(s_ + start, pos_ - start);
-    if (integral) {
-      errno = 0;
-      char* end = nullptr;
-      if (tok.front() == '-') {
-        const long long v = std::strtoll(tok.c_str(), &end, 10);
-        if (errno == 0 && end != nullptr && *end == '\0') {
-          *out = Json(static_cast<std::int64_t>(v));
-          return true;
-        }
-      } else {
-        const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-        if (errno == 0 && end != nullptr && *end == '\0') {
-          *out = Json(static_cast<std::uint64_t>(v));
-          return true;
-        }
-      }
-      // Fall through to double on 64-bit overflow.
-    }
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') return fail("malformed number");
-    *out = Json(d);
-    return true;
-  }
-
-  bool value(Json* out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    if (pos_ >= n_) return fail("unexpected end of document");
-    switch (s_[pos_]) {
-      case 'n': return literal("null", Json(), out);
-      case 't': return literal("true", Json(true), out);
-      case 'f': return literal("false", Json(false), out);
-      case '"': {
-        std::string s;
-        if (!string(&s)) return false;
-        *out = Json(std::move(s));
-        return true;
-      }
-      case '[': {
-        ++pos_;
-        *out = Json::array();
-        skip_ws();
-        if (pos_ < n_ && s_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          Json item;
-          skip_ws();
-          if (!value(&item, depth + 1)) return false;
-          out->push(std::move(item));
-          skip_ws();
-          if (pos_ >= n_) return fail("unterminated array");
-          if (s_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          if (s_[pos_] == ']') {
-            ++pos_;
-            return true;
-          }
-          return fail("expected ',' or ']'");
-        }
-      }
-      case '{': {
-        ++pos_;
-        *out = Json::object();
-        skip_ws();
-        if (pos_ < n_ && s_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        while (true) {
-          skip_ws();
-          std::string key;
-          if (!string(&key)) return false;
-          skip_ws();
-          if (pos_ >= n_ || s_[pos_] != ':') return fail("expected ':'");
-          ++pos_;
-          skip_ws();
-          Json item;
-          if (!value(&item, depth + 1)) return false;
-          out->set(std::move(key), std::move(item));
-          skip_ws();
-          if (pos_ >= n_) return fail("unterminated object");
-          if (s_[pos_] == ',') {
-            ++pos_;
-            continue;
-          }
-          if (s_[pos_] == '}') {
-            ++pos_;
-            return true;
-          }
-          return fail("expected ',' or '}'");
-        }
-      }
-      default: return number(out);
-    }
-  }
-
-  const char* s_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-  std::string* err_;
-};
-
-}  // namespace
-
-bool Json::parse(const std::string& text, Json* out, std::string* err) {
-  *out = Json();
-  Parser p(text, err);
-  if (p.run(out)) return true;
-  *out = Json();
-  return false;
 }
 
 }  // namespace ihw::sweep

@@ -1,13 +1,9 @@
 #pragma once
-// Minimal JSON value builder/parser for the --json bench outputs and the
-// evaluation daemon's wire protocol (DESIGN.md §13). Only what those need:
-// objects with insertion-ordered keys, arrays, strings, bools, and numbers.
-// Doubles are printed with %.17g (round-trippable); unsigned 64-bit values
-// print as exact integers. parse() is strict RFC-8259 (no comments, no
-// trailing commas) with a recursion-depth bound, and preserves object member
-// order -- protocol fingerprinting depends on that.
+// Minimal JSON value builder for the --json bench outputs: objects with
+// insertion-ordered keys, arrays, strings, bools, and numbers. Doubles are
+// printed with %.17g (round-trippable); unsigned 64-bit values print as
+// exact integers.
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,42 +34,6 @@ class Json {
   /// Writes dump(2) plus a trailing newline to `path`; false on I/O error.
   bool write_file(const std::string& path) const;
 
-  /// Parses one complete JSON document (plus optional trailing whitespace).
-  /// On failure returns false, leaves *out null, and describes the problem
-  /// (with its byte offset) in *err when given. Integers without a fraction
-  /// or exponent parse exactly (signed or unsigned 64-bit); everything else
-  /// numeric parses as double.
-  static bool parse(const std::string& text, Json* out,
-                    std::string* err = nullptr);
-
-  // Read accessors for parsed documents. Type-mismatched access returns the
-  // given default (scalars) or an empty view (containers) -- protocol
-  // handlers validate with the is_*() predicates first.
-  bool is_null() const { return kind_ == Kind::Null; }
-  bool is_bool() const { return kind_ == Kind::Bool; }
-  bool is_number() const {
-    return kind_ == Kind::Int || kind_ == Kind::Uint || kind_ == Kind::Double;
-  }
-  bool is_string() const { return kind_ == Kind::Str; }
-  bool is_array() const { return kind_ == Kind::Arr; }
-  bool is_object() const { return kind_ == Kind::Obj; }
-
-  bool as_bool(bool def = false) const { return is_bool() ? b_ : def; }
-  double as_double(double def = 0.0) const;
-  std::int64_t as_i64(std::int64_t def = 0) const;
-  std::uint64_t as_u64(std::uint64_t def = 0) const;
-  const std::string& as_str() const { return s_; }
-
-  /// Array element count / object member count (0 for scalars).
-  std::size_t size() const {
-    return kind_ == Kind::Obj ? members_.size() : items_.size();
-  }
-  /// Array element i (a shared null value when out of range / not an array).
-  const Json& at(std::size_t i) const;
-  /// Object member by key, or nullptr when absent / not an object.
-  const Json* find(const std::string& key) const;
-  /// Object member by key, or a shared null value when absent.
-  const Json& operator[](const std::string& key) const;
   /// Object members in document order.
   const std::vector<std::pair<std::string, Json>>& members() const {
     return members_;

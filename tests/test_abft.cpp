@@ -1,4 +1,4 @@
-// The ABFT layer's contract (DESIGN.md §17): detect mode never changes the
+// The ABFT layer's contract (DESIGN.md §15): detect mode never changes the
 // output and never flags fault-free runs at the calibrated thresholds;
 // detection, recovery, and every counter are bit-deterministic across tile
 // sizes, thread counts, and ISA levels (the forced-ISA ctest variants rerun

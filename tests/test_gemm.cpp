@@ -1,10 +1,9 @@
-// The tile-GEMM engine's contract (DESIGN.md §16): gemm::run is bit-identical
+// The tile-GEMM engine's contract (DESIGN.md §14): gemm::run is bit-identical
 // to gemm::reference at every tile size, thread count, SIMD backend, and
 // accumulation policy; the screened path keeps fault-draw and guard parity
 // with the reference schedule; the fused mac spans match their two-pass
-// decomposition; the black-box accumulation probes (feature_detect.h) report
-// exactly the configured policy; and the daemon-side gemm/mlp workload
-// recipes validate their parameters strictly.
+// decomposition; and the black-box accumulation probes (feature_detect.h)
+// report exactly the configured policy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,8 +21,6 @@
 #include "ihw/batch.h"
 #include "ihw/dispatch.h"
 #include "ihw/simd/isa.h"
-#include "serve/workloads.h"
-#include "sweep/fingerprint.h"
 
 namespace ihw {
 namespace {
@@ -312,85 +309,6 @@ TEST(GemmFeatureProbes, ProbesSeparateThePolicies) {
   EXPECT_EQ(trunc.accum_frac_bits, 11);
   EXPECT_EQ(ifp.accum_frac_bits, 7);
   EXPECT_EQ(wide.wide_block, 32);
-}
-
-// --- daemon workload recipes ------------------------------------------------
-
-sweep::Workload gemm_workload() {
-  return sweep::Workload{"gemm",
-                         {{"m", 24.0}, {"n", 16.0}, {"k", 32.0}, {"accum", 0.0}},
-                         77};
-}
-
-TEST(GemmWorkloads, ValidRecipesEvaluateDeterministically) {
-  std::string err;
-  auto eval = serve::make_workload_eval(gemm_workload(), "precise", &err);
-  ASSERT_TRUE(static_cast<bool>(eval)) << err;
-  const auto r1 = eval(), r2 = eval();
-  EXPECT_TRUE(std::isfinite(r1.metric("checksum")));
-  EXPECT_EQ(r1.metric("checksum"), r2.metric("checksum"));
-
-  sweep::Workload mlp{"mlp",
-                      {{"samples", 32.0},
-                       {"dim", 8.0},
-                       {"hidden", 8.0},
-                       {"classes", 4.0},
-                       {"accum", 2.0},
-                       {"accum_th", 8.0}},
-                      99};
-  err.clear();
-  auto mlp_eval = serve::make_workload_eval(mlp, "precise", &err);
-  ASSERT_TRUE(static_cast<bool>(mlp_eval)) << err;
-  const auto rec = mlp_eval();
-  EXPECT_GE(rec.metric("accuracy"), 0.0);
-  EXPECT_LE(rec.metric("accuracy"), 1.0);
-  const IhwConfig precise = IhwConfig::precise();
-  EXPECT_EQ(serve::workload_fingerprint(mlp), mlp.fingerprint(&precise));
-}
-
-TEST(GemmWorkloads, StrictParameterValidation) {
-  const auto rejects = [](sweep::Workload w) {
-    std::string err;
-    auto eval = serve::make_workload_eval(w, "precise", &err);
-    EXPECT_FALSE(static_cast<bool>(eval));
-    EXPECT_FALSE(err.empty());
-  };
-
-  {  // missing structural parameter
-    auto w = gemm_workload();
-    w.params.erase(w.params.begin() + 2);  // drop "k"
-    rejects(w);
-  }
-  {  // fractional value where an integer is required
-    auto w = gemm_workload();
-    w.params[2].second = 2.5;
-    rejects(w);
-  }
-  {  // out-of-range dimension and accumulation mode
-    auto w = gemm_workload();
-    w.params[0].second = 0.0;
-    rejects(w);
-    w = gemm_workload();
-    w.params[3].second = 4.0;
-    rejects(w);
-  }
-  {  // each mode's knob is required exactly when that mode needs it
-    auto w = gemm_workload();
-    w.params[3].second = 2.0;  // kIfpAdd without accum_th
-    rejects(w);
-    w.params.emplace_back("accum_th", 0.0);  // below the TH datapath floor
-    rejects(w);
-  }
-  {  // mlp classes floor is 2
-    sweep::Workload w{"mlp",
-                      {{"samples", 32.0},
-                       {"dim", 8.0},
-                       {"hidden", 8.0},
-                       {"classes", 1.0},
-                       {"accum", 0.0}},
-                      99};
-    rejects(w);
-  }
 }
 
 }  // namespace

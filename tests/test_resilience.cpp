@@ -1,8 +1,8 @@
 // Tests for the sweep resilience layer (DESIGN.md §12): record checksums
 // and quarantine, the crash-safe journal and --resume replay, torn-write
 // safety of concurrent stores, FailPolicy isolation vs deterministic
-// fail-fast, graceful drain, the soft-deadline watchdog, and per-task
-// exception capture in the runtime.
+// fail-fast, the sweep benches' exit codes, graceful drain, the
+// soft-deadline watchdog, and per-task exception capture in the runtime.
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sweep_flags.h"
 #include "runtime/parallel.h"
+#include "sweep/bench_run.h"
 #include "sweep/cache.h"
 #include "sweep/health.h"
 #include "sweep/journal.h"
@@ -293,42 +295,25 @@ TEST(JournalTest, ResumeSweepsStaleTmpFiles) {
   fs::remove_all(dir);
 }
 
-TEST(JournalTest, ReattachSameNameIsIdempotentNoOp) {
+TEST(JournalTest, SecondAttachThrowsLogicError) {
   const std::string dir = testing::TempDir() + "ihw_resil_jreatt";
   fs::remove_all(dir);
   EvalCache cache(dir);
-  cache.attach_journal("t", /*resume=*/false);
-  cache.store(11, sample_record(0.25));
+  cache.attach_journal("first", false);
   Journal* before = cache.journal();
-  // A long-running daemon may defensively re-attach; the committed journal,
-  // its entries, and the replay counter must all be untouched.
-  cache.attach_journal("t", /*resume=*/false);
-  cache.attach_journal("t", /*resume=*/true);
+  EXPECT_THROW(cache.attach_journal("first", false), std::logic_error);
+  EXPECT_THROW(cache.attach_journal("first", true), std::logic_error);
+  EXPECT_THROW(cache.attach_journal("second", false), std::logic_error);
+  // The original journal survives the rejected re-attaches.
   EXPECT_EQ(cache.journal(), before);
   EXPECT_EQ(cache.journal_replayed(), 0u);
-
-  // The journaled record still replays into a fresh cache afterwards.
-  EvalCache resumed(dir);
-  resumed.attach_journal("t", /*resume=*/true);
-  EXPECT_EQ(resumed.journal_replayed(), 1u);
-  const auto rec = resumed.lookup(11);
-  ASSERT_TRUE(rec.has_value());
-  expect_record_identical(*rec, sample_record(0.25));
-  fs::remove_all(dir);
-}
-
-TEST(JournalTest, ReattachDifferentNameThrowsLogicError) {
-  const std::string dir = testing::TempDir() + "ihw_resil_jrename";
-  fs::remove_all(dir);
-  EvalCache cache(dir);
-  cache.attach_journal("first", false);
-  EXPECT_THROW(cache.attach_journal("second", false), std::logic_error);
-  // The original journal survives the rejected re-attach.
-  ASSERT_NE(cache.journal(), nullptr);
-  cache.store(5, sample_record());
+  cache.store(5, sample_record(0.25));
   EvalCache resumed(dir);
   resumed.attach_journal("first", true);
   EXPECT_EQ(resumed.journal_replayed(), 1u);
+  const auto rec = resumed.lookup(5);
+  ASSERT_TRUE(rec.has_value());
+  expect_record_identical(*rec, sample_record(0.25));
   fs::remove_all(dir);
 }
 
@@ -396,6 +381,26 @@ TEST(FailPolicyTest, IsolatedFailureStillCachesHealthyPoints) {
   EXPECT_FALSE(cache.lookup(501).has_value());
   EXPECT_TRUE(cache.lookup(502).has_value());
   fs::remove_all(dir);
+}
+
+// The exit-code contract every sweep bench returns through BenchRun::finish:
+// a point that failed under --isolate exits kPointFailureExitCode (3), a
+// clean grid exits 0.
+TEST(BenchRunTest, IsolatedFailureExitsPointFailureCode) {
+  common::SweepFlags flags;
+  flags.isolate = true;
+  const FailPolicy policy = make_fail_policy(flags);
+
+  BenchRun failed("bench_run_failed", flags);
+  const auto bad = run_grid(mixed_points(4, 1), &failed.cache(), policy, 2);
+  EXPECT_FALSE(failed.drained(bad.health));
+  EXPECT_EQ(failed.finish(bad.health, "", Json::array()),
+            kPointFailureExitCode);
+  EXPECT_EQ(kPointFailureExitCode, 3);
+
+  BenchRun clean("bench_run_clean", flags);
+  const auto good = run_grid(mixed_points(4, -1), &clean.cache(), policy, 2);
+  EXPECT_EQ(clean.finish(good.health, "", Json::array()), 0);
 }
 
 TEST(DrainTest, RequestedDrainSkipsUnstartedPoints) {

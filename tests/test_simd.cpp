@@ -1,7 +1,8 @@
-// SIMD backend <-> scalar reference bit-identity (DESIGN.md §15): the
+// SIMD backend <-> scalar reference bit-identity (DESIGN.md §13): the
 // dispatcher's detection/force/clamp semantics, exhaustive 16-bit-pattern
-// cross-checks and randomized fuzz pinning every hand-vectorized kernel to
-// the scalar reference loop (including NaN/Inf/signed-zero/subnormal
+// cross-checks and randomized fuzz pinning every hand-vectorized kernel --
+// the fused multiply-accumulate slots included, in place and out of place --
+// to the scalar reference loop (including NaN/Inf/signed-zero/subnormal
 // operands and remainder-tail lanes), fault-injection op-index parity
 // through GuardedDispatch::*_n per backend, and end-to-end app byte-identity
 // across ISA levels and thread counts. Each non-scalar case skips cleanly on
@@ -9,6 +10,7 @@
 // (and test_batch) under IHW_FORCE_ISA for every level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -59,9 +61,10 @@ void expect_span_matches(const char* what, const char* isa,
 }
 
 /// Runs every dispatched float unit once per (a, b) operand set under
-/// `level`, with forced-scalar reference runs of the same span wrappers.
-/// Exercises the whole wrapper (clamping, keep-mask computation, dispatch)
-/// rather than the lane in isolation.
+/// `level`, with forced-scalar reference runs of the same span wrappers
+/// (the mac slots accumulate into c = b reversed). Exercises the whole
+/// wrapper (clamping, keep-mask computation, dispatch) rather than the lane
+/// in isolation.
 void cross_check_units(IsaLevel level, const std::vector<float>& a,
                        const std::vector<float>& b) {
   const char* isa = simd::isa_name(level);
@@ -101,6 +104,38 @@ void cross_check_units(IsaLevel level, const std::vector<float>& a,
     });
   }
   check("ircp_n", [&](float* out) { batch::ircp_n(a.data(), out, n); });
+
+  // Fused multiply-accumulate slots, each both out-of-place and in place
+  // (out == c, the GEMM tile accumulate). th = 0 selects the precise adder
+  // with acc_trunc LSBs dropped; th >= 1 the TH-adder.
+  const std::vector<float> c(b.rbegin(), b.rend());
+  const auto check_mac = [&](const std::string& what, auto&& mac) {
+    check(what.c_str(), [&](float* out) { mac(c.data(), out); });
+    check((what + " out==c").c_str(), [&](float* out) {
+      std::copy(c.begin(), c.end(), out);
+      mac(out, out);
+    });
+  };
+  for (int th : {0, 1, 8, 27}) {
+    for (int acc_trunc : {0, 7}) {
+      const std::string acc = " th=" + std::to_string(th) +
+                              " acc_trunc=" + std::to_string(acc_trunc);
+      check_mac("ifp_mac_n" + acc, [&](const float* cc, float* out) {
+        batch::ifp_mac_n(a.data(), b.data(), cc, out, n, th, acc_trunc);
+      });
+      for (int trunc : {0, 8, 23}) {
+        const std::string tr = acc + " trunc=" + std::to_string(trunc);
+        check_mac("acfp_mac_n(log)" + tr, [&](const float* cc, float* out) {
+          batch::acfp_mac_n(a.data(), b.data(), cc, out, n, AcfpPath::Log,
+                            trunc, th, acc_trunc);
+        });
+        check_mac("trunc_mac_n" + tr, [&](const float* cc, float* out) {
+          batch::trunc_mac_n(a.data(), b.data(), cc, out, n, trunc, th,
+                             acc_trunc);
+        });
+      }
+    }
+  }
 }
 
 std::vector<float> from_bits_vec(const std::vector<std::uint32_t>& bits) {

@@ -5,8 +5,6 @@ Usage:
   check_bench_regression.py BENCH.json
   check_bench_regression.py --sweep COLD.json WARM.json [--min-speedup=R]
   check_bench_regression.py --sweep --resume COLD.json RESUMED.json
-  check_bench_regression.py --serve BENCH.json [--min-speedup=R]
-  check_bench_regression.py --chaos BENCH.json [--max-amplification=R]
   check_bench_regression.py --isa BENCH.json [--require=LEVEL] [--out=OUT.json]
   check_bench_regression.py --gemm BENCH.json [--require=LEVEL] [--out=OUT.json]
   check_bench_regression.py --abft VALIDATION.json GEMM.json [--max-overhead=R] [--out=OUT.json]
@@ -37,28 +35,7 @@ evaluations, so per-row cache_hit/status and the speedup floor are not
 checked; every *result* field of every row must still match the reference
 exactly, and the resumed health must report at least one journal replay.
 
---serve mode gates the evaluation daemon (DESIGN.md §13) from one
-BENCH_pr6.json written by bench/serve_loadgen: the warm phase (every point
-already in the process-wide cache) must beat the cold phase by at least
---min-speedup (default 5x, machine-independent because both phases run in
-the same process against the same socket), the coalesced burst must have
-performed exactly one store / one evaluation (single-flight dedup), and
-the daemon must have finished the run with zero protocol errors and zero
-evaluation failures. --max-warm-p99-ms (default 50) bounds warm tail
-latency; it is deliberately loose -- it catches a daemon that has started
-blocking warm hits behind evaluations, not host-speed noise.
-
---chaos mode gates the survivability invariant (DESIGN.md §14) from a
-serve_loadgen report produced with --chaos-rate > 0: the run must actually
-have injected faults (a chaos run that injected nothing proves nothing),
-every delivered answer must have matched the in-process reference
-byte-for-byte (incorrect == 0), no operation may have failed out of the
-resilient clients (failures == 0 -- faults are retried or degraded to
-local evaluation, never surfaced), and the retry amplification
-(attempts / operations) must stay under --max-amplification (default 3.0)
-so retries cannot quietly turn into a storm.
-
---isa mode gates the hand-vectorized SIMD backends (DESIGN.md §15) from one
+--isa mode gates the hand-vectorized SIMD backends (DESIGN.md §13) from one
 micro_units JSON report containing the per-ISA rows
 (BM_Span*Batch/<unit>/isa:<level>, registered for every level the host
 supports). For each row family it computes the speedup of each SIMD level
@@ -69,7 +46,7 @@ host does not support LEVEL (so CI on an AVX2 machine cannot silently pass
 by only exercising the scalar backend), and --out=OUT.json records the
 detected ISA, the ratio table, and the floors as a merge artifact.
 
---gemm mode gates the cache-blocked tile-GEMM engine (DESIGN.md §16) from
+--gemm mode gates the cache-blocked tile-GEMM engine (DESIGN.md §14) from
 one micro_gemm JSON report. The engine is bit-identical to the canonical
 per-element reference, so each BM_GemmNaive/<cfg> / BM_GemmTiled/<cfg>
 ratio is pure engineering speedup and gates machine-independently: the
@@ -81,7 +58,7 @@ naive loop. The per-ISA tiled rows (BM_GemmTiled/ifp/isa:<level>) gate
 against the forced-scalar tiled row exactly like --isa mode (floors in
 GEMM_ISA_FLOORS; --require/--out behave the same).
 
---abft mode gates the ABFT checksum layer (DESIGN.md §17) from two inputs:
+--abft mode gates the ABFT checksum layer (DESIGN.md §15) from two inputs:
 VALIDATION.json is the --json report of bench/abft_validation (the
 fault-injection safety contract: zero false positives fault-free, every
 injected fault detected-and-recovered or provably below the quality bound,
@@ -224,158 +201,6 @@ def check_sweep(argv: list) -> int:
             print(f"  {f}", file=sys.stderr)
         return 1
     print("warm-cache sweep at or above its speedup floor")
-    return 0
-
-
-def check_serve(argv: list) -> int:
-    min_speedup = 5.0
-    max_warm_p99_ms = 50.0
-    paths = []
-    for arg in argv:
-        if arg.startswith("--min-speedup="):
-            min_speedup = float(arg.split("=", 1)[1])
-        elif arg.startswith("--max-warm-p99-ms="):
-            max_warm_p99_ms = float(arg.split("=", 1)[1])
-        else:
-            paths.append(arg)
-    if len(paths) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    with open(paths[0]) as f:
-        report = json.load(f)
-
-    failures = []
-    if report.get("bench") != "serve_loadgen":
-        failures.append(f"unexpected bench tag: {report.get('bench')!r}")
-
-    cold = report.get("cold", {})
-    warm = report.get("warm", {})
-    speedup = report.get("warm_vs_cold_speedup", 0.0)
-    print(
-        f"serve {report.get('bench')}: cold {cold.get('rps', 0.0):.0f} rps, "
-        f"warm {warm.get('rps', 0.0):.0f} rps -> {speedup:.1f}x "
-        f"(floor {min_speedup:.1f}x), warm p99 {warm.get('p99_ms', 0.0):.3f} ms "
-        f"(ceiling {max_warm_p99_ms:.1f} ms)"
-    )
-    if speedup < min_speedup:
-        failures.append(
-            f"warm/cold throughput {speedup:.1f}x below floor {min_speedup:.1f}x"
-        )
-    if warm.get("p99_ms", float("inf")) > max_warm_p99_ms:
-        failures.append(
-            f"warm p99 {warm.get('p99_ms'):.3f} ms above ceiling "
-            f"{max_warm_p99_ms:.1f} ms"
-        )
-
-    co = report.get("coalesced", {})
-    if co.get("store_delta") != 1:
-        failures.append(
-            f"coalesced burst stored {co.get('store_delta')} records "
-            "(single-flight should store exactly 1)"
-        )
-    if co.get("unique_evaluations") != 1:
-        failures.append(
-            f"coalesced burst ran {co.get('unique_evaluations')} evaluations "
-            "(single-flight should run exactly 1)"
-        )
-    sources = co.get("sources", {})
-    if sources.get("evaluated") != 1:
-        failures.append(
-            f"coalesced burst reported {sources.get('evaluated')} "
-            "'evaluated' sources (expected exactly 1 owner)"
-        )
-
-    server = report.get("metrics", {}).get("server", {})
-    # A chaos phase (--chaos-rate) injects torn/severed frames on purpose, so
-    # protocol errors are expected in that report; --chaos gates it instead.
-    counters = (
-        ("eval_failures",) if report.get("chaos")
-        else ("protocol_errors", "eval_failures")
-    )
-    for counter in counters:
-        if server.get(counter, 0) != 0:
-            failures.append(f"daemon finished with {counter}={server.get(counter)}")
-
-    if failures:
-        print("\nserve daemon regression:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(
-        "daemon warm path at or above its speedup floor; "
-        "coalesced burst deduplicated to a single evaluation"
-    )
-    return 0
-
-
-def check_chaos(argv: list) -> int:
-    max_amplification = 3.0
-    paths = []
-    for arg in argv:
-        if arg.startswith("--max-amplification="):
-            max_amplification = float(arg.split("=", 1)[1])
-        else:
-            paths.append(arg)
-    if len(paths) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    with open(paths[0]) as f:
-        report = json.load(f)
-
-    failures = []
-    if report.get("bench") != "serve_loadgen":
-        failures.append(f"unexpected bench tag: {report.get('bench')!r}")
-    chaos = report.get("chaos")
-    if not chaos:
-        failures.append(
-            "no chaos section in the report (run serve_loadgen with "
-            "--chaos-rate > 0)"
-        )
-        chaos = {}
-
-    rate = chaos.get("rate", 0.0)
-    injected = chaos.get("injected", {})
-    amplification = chaos.get("retry_amplification", 0.0)
-    print(
-        f"chaos rate={rate:.2f} seed={chaos.get('seed')}: "
-        f"{injected.get('total', 0)} faults over {injected.get('frames', 0)} "
-        f"frames (delay={injected.get('delays', 0)} "
-        f"truncate={injected.get('truncations', 0)} "
-        f"corrupt={injected.get('corruptions', 0)} "
-        f"sever={injected.get('severs', 0)}), "
-        f"incorrect={chaos.get('incorrect')} failures={chaos.get('failures')}, "
-        f"amplification {amplification:.2f}x "
-        f"(ceiling {max_amplification:.1f}x)"
-    )
-    if rate <= 0.0:
-        failures.append(f"chaos rate {rate} is not > 0")
-    if injected.get("total", 0) < 1:
-        failures.append("chaos run injected zero faults; the run proves nothing")
-    if chaos.get("incorrect", 1) != 0:
-        failures.append(
-            f"{chaos.get('incorrect')} answers differed from the in-process "
-            "reference (the survivability invariant is broken)"
-        )
-    if chaos.get("failures", 1) != 0:
-        failures.append(
-            f"{chaos.get('failures')} operations failed out of the resilient "
-            "clients (faults must be retried or degraded, never surfaced)"
-        )
-    if amplification > max_amplification:
-        failures.append(
-            f"retry amplification {amplification:.2f}x above ceiling "
-            f"{max_amplification:.1f}x"
-        )
-
-    if failures:
-        print("\nchaos survivability regression:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(
-        "survivability invariant holds: every injected fault was retried or "
-        "degraded into a correct answer"
-    )
     return 0
 
 
@@ -767,10 +592,6 @@ def check_abft(argv: list) -> int:
 def main() -> int:
     if len(sys.argv) >= 2 and sys.argv[1] == "--sweep":
         return check_sweep(sys.argv[2:])
-    if len(sys.argv) >= 2 and sys.argv[1] == "--serve":
-        return check_serve(sys.argv[2:])
-    if len(sys.argv) >= 2 and sys.argv[1] == "--chaos":
-        return check_chaos(sys.argv[2:])
     if len(sys.argv) >= 2 and sys.argv[1] == "--isa":
         return check_isa(sys.argv[2:])
     if len(sys.argv) >= 2 and sys.argv[1] == "--gemm":
