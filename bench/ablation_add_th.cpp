@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   p.iterations = static_cast<int>(args.get_int("iterations", 40));
   p.steady_init = false;  // transient run keeps the adder on the critical path
   const auto input = make_hotspot_input(p, 7);
-  const auto ref = run_hotspot<float>(p, input);
+  const auto ref = run_hotspot_batched(p, input);
 
   const power::SynthesisDb db;
   const double dw_power = db.dwip(power::OpKind::FAdd).power_mw;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     {
       gpu::FpContext ctx(cfg);
       gpu::ScopedContext scope(ctx);
-      imp = run_hotspot<gpu::SimFloat>(p, input);
+      imp = run_hotspot_batched(p, input);
     }
     const auto err = error::characterize32(error::UnitKind::FpAdd, th, 200000);
     const auto m = db.ihw(power::OpKind::FAdd, th);

@@ -63,7 +63,7 @@ int main(int argc, char** argv) try {
                       sweep::EvalRecord rec;
                       const auto input = make_hotspot_input(p, 7);
                       rec.perf = run_with_config(precise, [&] {
-                        run_hotspot<gpu::SimFloat>(p, input);
+                        run_hotspot_batched(p, input);
                       });
                       return rec;
                     }});

@@ -101,7 +101,7 @@ int main(int argc, char** argv) try {
   sweep::Shared<common::GridF> hs_ref([&] {
     common::GridF ref;
     run_with_config(IhwConfig::precise(),
-                    [&] { ref = run_hotspot<gpu::SimFloat>(hp, hs_input.get()); });
+                    [&] { ref = run_hotspot_batched(hp, hs_input.get()); });
     return ref;
   });
   sweep::Shared<common::RgbImage> ray_ref([&] { return render_ray<float>(rp); });
@@ -136,7 +136,7 @@ int main(int argc, char** argv) try {
                           sweep::EvalRecord rec;
                           common::GridF out;
                           const auto run = run_guarded(cfg, [&] {
-                            out = run_hotspot<gpu::SimFloat>(hp, hs_input.get());
+                            out = run_hotspot_batched(hp, hs_input.get());
                           });
                           rec.perf = run.perf;
                           rec.faults = run.faults;

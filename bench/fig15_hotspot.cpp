@@ -29,14 +29,14 @@ int main(int argc, char** argv) {
   {
     gpu::FpContext ctx(IhwConfig::precise());
     gpu::ScopedContext scope(ctx);
-    ref = run_hotspot<gpu::SimFloat>(p, input);
+    ref = run_hotspot_batched(p, input);
     counters = ctx.counters();
   }
   const auto cfg = IhwConfig::all_imprecise();
   {
     gpu::FpContext ctx(cfg);
     gpu::ScopedContext scope(ctx);
-    imp = run_hotspot<gpu::SimFloat>(p, input);
+    imp = run_hotspot_batched(p, input);
   }
 
   gpu::GpuPowerParams params;

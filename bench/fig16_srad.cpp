@@ -43,14 +43,14 @@ int main(int argc, char** argv) {
   {
     gpu::FpContext ctx(IhwConfig::precise());
     gpu::ScopedContext scope(ctx);
-    ref = run_srad<gpu::SimFloat>(p, input.image);
+    ref = run_srad_batched(p, input.image);
     counters = ctx.counters();
   }
   const auto cfg = IhwConfig::all_imprecise();
   {
     gpu::FpContext ctx(cfg);
     gpu::ScopedContext scope(ctx);
-    imp = run_srad<gpu::SimFloat>(p, input.image);
+    imp = run_srad_batched(p, input.image);
   }
 
   gpu::GpuPowerParams params;

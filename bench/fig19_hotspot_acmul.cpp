@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                           // study needs the heating dynamics, not equilibrium
 
   const auto input = make_hotspot_input(p, 7);
-  const auto ref = run_hotspot<float>(p, input);
+  const auto ref = run_hotspot_batched(p, input);
 
   const power::SynthesisDb db;
   const double dw = db.multiplier(MulMode::Precise, 0, false).power_mw;
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       {
         gpu::FpContext ctx(cfg);
         gpu::ScopedContext scope(ctx);
-        imp = run_hotspot<gpu::SimFloat>(p, input);
+        imp = run_hotspot_batched(p, input);
       }
       const auto m = db.multiplier(mode, tr, false);
       t.row()

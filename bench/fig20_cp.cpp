@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   p.natoms = static_cast<std::size_t>(args.get_int("atoms", 192));
 
   const auto atoms = make_cp_atoms(p, 3);
-  const auto ref = run_cp<float>(p, atoms);
+  const auto ref = run_cp_batched(p, atoms);
   const double ref_range = [&] {
     float lo = ref.data()[0], hi = lo;
     for (float v : ref) {
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       {
         gpu::FpContext ctx(cfg);
         gpu::ScopedContext scope(ctx);
-        imp = run_cp<gpu::SimFloat>(p, atoms);
+        imp = run_cp_batched(p, atoms);
       }
       const double mae = quality::mae(ref, imp);
       const auto m = db.multiplier(mode, tr, false);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     p.iterations = 30;
     const auto in = make_hotspot_input(p, 7);
     const auto c = run_with_config(IhwConfig::precise(),
-                                   [&] { run_hotspot<gpu::SimFloat>(p, in); });
+                                   [&] { run_hotspot_batched(p, in); });
     t.row().add("Hotspot (GPU)").add("single").add(count_str(c[gpu::OpClass::FMul]))
         .add("MAE, WED").add("physics simulation");
   }
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     CpParams p;
     const auto atoms = make_cp_atoms(p, 3);
     const auto c = run_with_config(IhwConfig::precise(),
-                                   [&] { run_cp<gpu::SimFloat>(p, atoms); });
+                                   [&] { run_cp_batched(p, atoms); });
     t.row().add("CP (GPU)").add("single").add(count_str(c[gpu::OpClass::FMul]))
         .add("MAE, WED").add("ion placement");
   }

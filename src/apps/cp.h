@@ -26,14 +26,18 @@ struct CpAtom {
 
 std::vector<CpAtom> make_cp_atoms(const CpParams& p, std::uint64_t seed);
 
-/// Returns the potential at every lattice point of the slice.
+/// Returns the potential at every lattice point of the slice. Real = float
+/// is the plain reference; the gpu::SimFloat instantiation is the
+/// per-element SIMT simulation, the named reference oracle of run_cp_batched
+/// and the path screened (fault/guard) configs take.
 template <typename Real>
 common::GridF run_cp(const CpParams& p, const std::vector<CpAtom>& atoms);
 
-/// Batched SoA port of run_cp: the atom loop runs span-wise over lattice
-/// rows through gpu/batch.h (coordinates still computed under ScopedPrecise).
+/// The production path -- every bench binary runs this. Batched SoA port of
+/// run_cp: the atom loop runs span-wise over lattice rows through
+/// gpu/batch.h (coordinates still computed under ScopedPrecise).
 /// Bit-identical outputs and PerfCounters to run_cp<SimFloat> under an
-/// unscreened FpContext; delegates to the scalar path when screening is
+/// unscreened FpContext; delegates to that scalar path when screening is
 /// active; matches run_cp<float> without a context.
 common::GridF run_cp_batched(const CpParams& p,
                              const std::vector<CpAtom>& atoms);

@@ -39,31 +39,27 @@ struct HotspotInput {
 };
 
 /// Generates a floorplan-like power map (a few hot blocks on a cool
-/// background) and an ambient initial temperature field.
+/// background) and an ambient initial temperature field, relaxed to steady
+/// state when `p.steady_init` (3000 fp64 sweeps, row-parallel on the
+/// runtime pool; the field is identical at any thread count).
 HotspotInput make_hotspot_input(const HotspotParams& p, std::uint64_t seed);
 
-/// Runs `p.iterations` simulation steps with the scalar type Real (float for
-/// a plain reference, gpu::SimFloat to execute on the instrumented SIMT
-/// simulator under the active FpContext). Returns the final temperatures.
+/// Runs `p.iterations` simulation steps with the scalar type Real: float for
+/// a plain reference, gpu::SimFloat for the per-element SIMT simulation under
+/// the active FpContext. The SimFloat instantiation is the named reference
+/// oracle of run_hotspot_batched (tests pin batched == oracle) and the path
+/// screened (fault/guard) configs take. Returns the final temperatures.
 template <typename Real>
 common::GridF run_hotspot(const HotspotParams& p, const HotspotInput& input);
 
-/// The shared-memory-tiled variant of the kernel (Rodinia's actual CUDA
-/// structure: load a haloed tile, __syncthreads, compute from the tile).
-/// Arithmetic is identical to run_hotspot -- outputs are bit-exact equal --
-/// but each cell is fetched from global memory ~once instead of five times,
-/// which is the on-chip reuse the power model's dram_fraction reflects.
-template <typename Real>
-common::GridF run_hotspot_tiled(const HotspotParams& p,
-                                const HotspotInput& input);
-
-/// Batched SoA port of run_hotspot: row-span sweeps through the gpu/batch.h
-/// fast path (config resolved once per span, branch-free vector-friendly
-/// unit kernels, counters bumped per span). Under an active FpContext with
-/// no fault/guard screening this is bit-identical to run_hotspot<SimFloat>
-/// in both outputs and PerfCounters; with screening active it delegates to
-/// the scalar path so per-op fault draws stay bit-identical too. Without a
-/// context it matches run_hotspot<float>.
+/// The production path -- every bench binary runs this. Batched SoA port of
+/// run_hotspot: row-span sweeps through the gpu/batch.h fast path (config
+/// resolved once per span, branch-free vector-friendly unit kernels,
+/// counters bumped per span). Under an active FpContext with no fault/guard
+/// screening it is bit-identical to run_hotspot<SimFloat> in both outputs
+/// and PerfCounters; with screening active it delegates to that scalar path
+/// so per-op fault draws stay bit-identical too. Without a context it
+/// matches run_hotspot<float>.
 common::GridF run_hotspot_batched(const HotspotParams& p,
                                   const HotspotInput& input);
 
@@ -71,9 +67,5 @@ extern template common::GridF run_hotspot<float>(const HotspotParams&,
                                                  const HotspotInput&);
 extern template common::GridF run_hotspot<gpu::SimFloat>(const HotspotParams&,
                                                          const HotspotInput&);
-extern template common::GridF run_hotspot_tiled<float>(const HotspotParams&,
-                                                       const HotspotInput&);
-extern template common::GridF run_hotspot_tiled<gpu::SimFloat>(
-    const HotspotParams&, const HotspotInput&);
 
 }  // namespace ihw::apps

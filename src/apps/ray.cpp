@@ -146,7 +146,10 @@ Vec3<Real> trace(const Scene<Real>& sc, Vec3<Real> o, Vec3<Real> d, int depth,
     n = {Real(0.0f), Real(1.0f), Real(0.0f)};
     const int cx = static_cast<int>(std::floor(static_cast<float>(p.x) * 0.35f));
     const int cz = static_cast<int>(std::floor(static_cast<float>(p.z) * 0.35f));
-    const bool dark = ((cx + cz) & 1) != 0;
+    // Parity of cx + cz, summed in unsigned: a huge plane coordinate
+    // saturates the int conversion and the signed sum would overflow.
+    const bool dark =
+        ((static_cast<unsigned>(cx) + static_cast<unsigned>(cz)) & 1u) != 0;
     base = dark ? Vec3<Real>{Real(0.25f), Real(0.25f), Real(0.28f)}
                 : Vec3<Real>{Real(0.85f), Real(0.85f), Real(0.8f)};
     reflect = Real(0.18f);

@@ -161,125 +161,6 @@ common::GridF run_srad(const SradParams& p, const common::GridF& image) {
   return out;
 }
 
-template <typename Real>
-common::GridF run_srad_tiled(const SradParams& p, const common::GridF& image) {
-  const std::size_t rows = p.rows, cols = p.cols;
-  common::Grid<Real> J(rows, cols);
-  for (std::size_t i = 0; i < J.size(); ++i) J.data()[i] = Real(image.data()[i]);
-
-  common::Grid<Real> dN(rows, cols), dS(rows, cols), dW(rows, cols),
-      dE(rows, cols), coef(rows, cols);
-
-  const Real half(0.5f), quarter(0.25f), sixteenth(1.0f / 16.0f), one(1.0f);
-  const Real lambda_q = Real(static_cast<float>(0.25 * p.lambda));
-
-  constexpr unsigned B = 16;
-  constexpr unsigned TB = B + 2;
-  const gpu::Dim3 block(B, B);
-  const gpu::Dim3 grid(static_cast<unsigned>((cols + B - 1) / B),
-                       static_cast<unsigned>((rows + B - 1) / B));
-
-  auto fetch = [&](std::ptrdiff_t r, std::ptrdiff_t c) {
-    const std::size_t rr = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-        r, 0, static_cast<std::ptrdiff_t>(rows) - 1));
-    const std::size_t cc = static_cast<std::size_t>(std::clamp<std::ptrdiff_t>(
-        c, 0, static_cast<std::ptrdiff_t>(cols) - 1));
-    return gload(J(rr, cc));
-  };
-
-  for (int it = 0; it < p.iterations; ++it) {
-    double sum = 0.0, sum2 = 0.0;
-    std::size_t n = 0;
-    for (std::size_t r = p.roi_r0; r < p.roi_r1; ++r)
-      for (std::size_t c = p.roi_c0; c < p.roi_c1; ++c) {
-        const double v = static_cast<double>(static_cast<float>(J(r, c)));
-        sum += v;
-        sum2 += v * v;
-        ++n;
-      }
-    const double mean = sum / static_cast<double>(n);
-    const double var = sum2 / static_cast<double>(n) - mean * mean;
-    const Real q0sqr = Real(static_cast<float>(var / (mean * mean)));
-    const Real q0_den = Real(static_cast<float>(
-        (var / (mean * mean)) * (1.0 + var / (mean * mean))));
-
-    // Kernel 1, tiled: stage a haloed J tile per block, barrier, compute.
-    runtime::parallel_launch_blocks(grid, block, [&](const gpu::BlockCtx& blk) {
-      std::vector<Real> tile(TB * TB, Real(0.0f));
-      auto tix = [&](unsigned ty, unsigned tx) -> Real& {
-        return tile[ty * TB + tx];
-      };
-      const std::ptrdiff_t base_r =
-          static_cast<std::ptrdiff_t>(blk.block_idx().y) * B;
-      const std::ptrdiff_t base_c =
-          static_cast<std::ptrdiff_t>(blk.block_idx().x) * B;
-
-      blk.phase([&](const gpu::ThreadCtx& tc) {
-        const unsigned tx = tc.thread_idx.x, ty = tc.thread_idx.y;
-        const std::ptrdiff_t gr = base_r + ty, gc = base_c + tx;
-        tix(ty + 1, tx + 1) = fetch(gr, gc);
-        if (ty == 0) tix(0, tx + 1) = fetch(gr - 1, gc);
-        if (ty == B - 1) tix(TB - 1, tx + 1) = fetch(gr + 1, gc);
-        if (tx == 0) tix(ty + 1, 0) = fetch(gr, gc - 1);
-        if (tx == B - 1) tix(ty + 1, TB - 1) = fetch(gr, gc + 1);
-      });
-
-      blk.phase([&](const gpu::ThreadCtx& tc) {
-        const unsigned tx = tc.thread_idx.x, ty = tc.thread_idx.y;
-        const std::size_t r = static_cast<std::size_t>(base_r) + ty;
-        const std::size_t c = static_cast<std::size_t>(base_c) + tx;
-        if (r >= rows || c >= cols) return;
-        const Real jc = tix(ty + 1, tx + 1);
-        const Real n_ = tix(ty, tx + 1) - jc;
-        const Real s_ = tix(ty + 2, tx + 1) - jc;
-        const Real w_ = tix(ty + 1, tx) - jc;
-        const Real e_ = tix(ty + 1, tx + 2) - jc;
-
-        const Real inv_jc = rcp(jc);
-        const Real g2 =
-            (n_ * n_ + s_ * s_ + w_ * w_ + e_ * e_) * (inv_jc * inv_jc);
-        const Real l = (n_ + s_ + w_ + e_) * inv_jc;
-        const Real num = half * g2 - sixteenth * (l * l);
-        const Real den = one + quarter * l;
-        const Real qsqr = num * rcp(den * den);
-        const Real den2 = (qsqr - q0sqr) * rcp(q0_den);
-        Real cc = rcp(one + den2);
-        if (cc < Real(0.0f)) cc = Real(0.0f);
-        if (cc > one) cc = one;
-
-        gstore(dN(r, c), n_);
-        gstore(dS(r, c), s_);
-        gstore(dW(r, c), w_);
-        gstore(dE(r, c), e_);
-        gstore(coef(r, c), cc);
-      });
-    });
-
-    // Kernel 2 unchanged (its reuse is modest).
-    runtime::parallel_launch(grid, block, [&](const gpu::ThreadCtx& tc) {
-      const std::size_t c = tc.global_x();
-      const std::size_t r = tc.global_y();
-      if (r >= rows || c >= cols) return;
-      const std::size_t rs = r + 1 < rows ? r + 1 : r;
-      const std::size_t ce = c + 1 < cols ? c + 1 : c;
-
-      const Real cn = gload(coef(r, c));
-      const Real cs = gload(coef(rs, c));
-      const Real cw = gload(coef(r, c));
-      const Real ce_ = gload(coef(r, ce));
-      const Real d = cn * gload(dN(r, c)) + cs * gload(dS(r, c)) +
-                     cw * gload(dW(r, c)) + ce_ * gload(dE(r, c));
-      const Real jc = gload(J(r, c));
-      gstore(J(r, c), jc + lambda_q * d);
-    });
-  }
-
-  common::GridF out(rows, cols);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out.data()[i] = static_cast<float>(J.data()[i]);
-  return out;
-}
-
 common::GridF run_srad_batched(const SradParams& p, const common::GridF& image) {
   auto* ctx = gpu::FpContext::current();
   if (ctx != nullptr && ctx->config().screened()) {
@@ -411,9 +292,5 @@ double srad_pratt_fom(const common::GridF& despeckled,
 template common::GridF run_srad<float>(const SradParams&, const common::GridF&);
 template common::GridF run_srad<gpu::SimFloat>(const SradParams&,
                                                const common::GridF&);
-template common::GridF run_srad_tiled<float>(const SradParams&,
-                                             const common::GridF&);
-template common::GridF run_srad_tiled<gpu::SimFloat>(const SradParams&,
-                                                     const common::GridF&);
 
 }  // namespace ihw::apps

@@ -32,7 +32,10 @@ struct SradInput {
 /// ideal edge map traces the true cyst boundaries.
 SradInput make_srad_input(const SradParams& p, std::uint64_t seed);
 
-/// Runs SRAD diffusion; returns the despeckled image.
+/// Runs SRAD diffusion; returns the despeckled image. Real = float is the
+/// plain reference; the gpu::SimFloat instantiation is the per-element SIMT
+/// simulation, the named reference oracle of run_srad_batched and the path
+/// screened (fault/guard) configs take.
 template <typename Real>
 common::GridF run_srad(const SradParams& p, const common::GridF& image);
 
@@ -40,26 +43,16 @@ common::GridF run_srad(const SradParams& p, const common::GridF& image);
 double srad_pratt_fom(const common::GridF& despeckled,
                       const quality::EdgeMap& ideal_edges);
 
-/// Shared-memory-tiled variant: kernel 1 stages a haloed tile of J per block
-/// (Rodinia srad_v2's structure). Bit-exact equal outputs to run_srad; far
-/// fewer global loads in the derivative kernel.
-template <typename Real>
-common::GridF run_srad_tiled(const SradParams& p, const common::GridF& image);
-
-/// Batched SoA port of run_srad: both kernels sweep row spans through the
-/// gpu/batch.h fast path. Bit-identical outputs and PerfCounters to
-/// run_srad<SimFloat> under an unscreened FpContext; delegates to the scalar
-/// path when fault/guard screening is active; matches run_srad<float>
-/// without a context.
+/// The production path -- every bench binary runs this. Batched SoA port of
+/// run_srad: both kernels sweep row spans through the gpu/batch.h fast path.
+/// Bit-identical outputs and PerfCounters to run_srad<SimFloat> under an
+/// unscreened FpContext; delegates to that scalar path when fault/guard
+/// screening is active; matches run_srad<float> without a context.
 common::GridF run_srad_batched(const SradParams& p, const common::GridF& image);
 
 extern template common::GridF run_srad<float>(const SradParams&,
                                               const common::GridF&);
 extern template common::GridF run_srad<gpu::SimFloat>(const SradParams&,
                                                       const common::GridF&);
-extern template common::GridF run_srad_tiled<float>(const SradParams&,
-                                                    const common::GridF&);
-extern template common::GridF run_srad_tiled<gpu::SimFloat>(
-    const SradParams&, const common::GridF&);
 
 }  // namespace ihw::apps

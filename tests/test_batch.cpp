@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <cmath>
 #include <random>
@@ -389,6 +390,15 @@ TEST(BatchApply, ThreadCountInvariantUnderFaultsAndGuard) {
 
 // --- app ports ---------------------------------------------------------------
 
+void expect_grids_identical(const common::GridF& want,
+                            const common::GridF& got) {
+  ASSERT_EQ(want.rows(), got.rows());
+  ASSERT_EQ(want.cols(), got.cols());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    ASSERT_TRUE(same_bits(want.data()[i], got.data()[i]))
+        << "grid diverges at " << i;
+}
+
 template <typename Scalar, typename Batched>
 void expect_app_identical(const IhwConfig& cfg, Scalar&& scalar,
                           Batched&& batched) {
@@ -402,62 +412,79 @@ void expect_app_identical(const IhwConfig& cfg, Scalar&& scalar,
     ScopedContext active(ctx);
     got = batched();
   }
-  ASSERT_EQ(want.rows(), got.rows());
-  ASSERT_EQ(want.cols(), got.cols());
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_TRUE(same_bits(want.data()[i], got.data()[i]))
-        << "grid diverges at " << i;
+  expect_grids_identical(want, got);
   EXPECT_EQ(ctx.counters().counts, ref_ctx.counters().counts);
   expect_fault_counters_eq(ref_ctx.fault_counters(), ctx.fault_counters());
 }
 
-TEST(BatchApps, HotspotMatchesScalarSimReal) {
-  apps::HotspotParams p;
-  p.rows = 48;
-  p.cols = 40;
-  p.iterations = 3;
-  p.steady_init = false;
-  const auto input = apps::make_hotspot_input(p, 7);
-  expect_app_identical(
-      IhwConfig::all_imprecise(),
-      [&] { return apps::run_hotspot<SimFloat>(p, input); },
-      [&] { return apps::run_hotspot_batched(p, input); });
+// Every config a bench binary runs through the batched ports: precise and
+// all_imprecise (fig15/16, table5/6, fig02, ablation_dvfs), plus the
+// multiplier-only sweep of each mode over `mul_trs` (fig19 on HotSpot, fig20
+// on CP).
+std::vector<IhwConfig> bench_configs(std::initializer_list<int> mul_trs) {
+  std::vector<IhwConfig> cfgs = {IhwConfig::precise(),
+                                 IhwConfig::all_imprecise()};
+  for (MulMode mode :
+       {MulMode::MitchellLog, MulMode::MitchellFull, MulMode::BitTruncated})
+    for (int tr : mul_trs) cfgs.push_back(IhwConfig::mul_only(mode, tr));
+  return cfgs;
 }
 
-TEST(BatchApps, SradMatchesScalarSimReal) {
+TEST(BatchApps, HotspotMatchesScalarSimRealOnBenchConfigs) {
+  struct Shape {
+    std::size_t rows, cols;
+    bool steady_init;
+  };
+  std::vector<IhwConfig> cfgs = bench_configs({0, 10, 15, 17, 19, 21, 22});
+  for (int th : {2, 4, 6, 8, 10, 12, 16, 20}) {  // ablation_add_th
+    IhwConfig cfg;
+    cfg.add_enabled = true;
+    cfg.add_th = th;
+    cfgs.push_back(cfg);
+  }
+  // Odd sizes exercise span edges; a relaxed (fig15) and a cold-start
+  // (fig19) input.
+  for (const Shape s : {Shape{37, 29, true}, Shape{33, 31, false}}) {
+    apps::HotspotParams p;
+    p.rows = s.rows;
+    p.cols = s.cols;
+    p.iterations = 3;
+    p.steady_init = s.steady_init;
+    const auto input = apps::make_hotspot_input(p, 7);
+    for (const IhwConfig& cfg : cfgs) {
+      SCOPED_TRACE(cfg.describe() + (s.steady_init ? " steady" : " cold"));
+      expect_app_identical(
+          cfg, [&] { return apps::run_hotspot<SimFloat>(p, input); },
+          [&] { return apps::run_hotspot_batched(p, input); });
+    }
+  }
+}
+
+TEST(BatchApps, SradMatchesScalarSimRealOnBenchConfigs) {
   apps::SradParams p;
-  p.rows = 40;
-  p.cols = 36;
+  p.rows = 39;
+  p.cols = 37;
   p.iterations = 2;
   const auto input = apps::make_srad_input(p, 11);
-  expect_app_identical(
-      IhwConfig::all_imprecise(),
-      [&] { return apps::run_srad<SimFloat>(p, input.image); },
-      [&] { return apps::run_srad_batched(p, input.image); });
+  for (const IhwConfig& cfg : bench_configs({})) {
+    SCOPED_TRACE(cfg.describe());
+    expect_app_identical(
+        cfg, [&] { return apps::run_srad<SimFloat>(p, input.image); },
+        [&] { return apps::run_srad_batched(p, input.image); });
+  }
 }
 
-TEST(BatchApps, CpMatchesScalarSimReal) {
+TEST(BatchApps, CpMatchesScalarSimRealOnBenchConfigs) {
   apps::CpParams p;
-  p.grid = 24;
-  p.natoms = 16;
+  p.grid = 23;
+  p.natoms = 17;
   const auto atoms = apps::make_cp_atoms(p, 13);
-  expect_app_identical(
-      IhwConfig::all_imprecise(),
-      [&] { return apps::run_cp<SimFloat>(p, atoms); },
-      [&] { return apps::run_cp_batched(p, atoms); });
-}
-
-TEST(BatchApps, PreciseConfigAlsoIdentical) {
-  apps::HotspotParams p;
-  p.rows = 33;  // odd sizes exercise span edges
-  p.cols = 31;
-  p.iterations = 2;
-  p.steady_init = false;
-  const auto input = apps::make_hotspot_input(p, 21);
-  expect_app_identical(
-      IhwConfig::precise(),
-      [&] { return apps::run_hotspot<SimFloat>(p, input); },
-      [&] { return apps::run_hotspot_batched(p, input); });
+  for (const IhwConfig& cfg : bench_configs({0, 8, 12, 15, 17, 19, 21})) {
+    SCOPED_TRACE(cfg.describe());
+    expect_app_identical(
+        cfg, [&] { return apps::run_cp<SimFloat>(p, atoms); },
+        [&] { return apps::run_cp_batched(p, atoms); });
+  }
 }
 
 TEST(BatchApps, ScreenedRunsDelegateToScalarPath) {
@@ -473,15 +500,32 @@ TEST(BatchApps, ScreenedRunsDelegateToScalarPath) {
       [&] { return apps::run_hotspot_batched(p, input); });
 }
 
+// Without a context the batched ports are the plain-float references that
+// fig19/fig20 and ablation_add_th score against.
 TEST(BatchApps, NoContextMatchesPlainFloat) {
-  apps::CpParams p;
-  p.grid = 16;
-  p.natoms = 12;
-  const auto atoms = apps::make_cp_atoms(p, 29);
-  const auto want = apps::run_cp<float>(p, atoms);
-  const auto got = apps::run_cp_batched(p, atoms);
-  for (std::size_t i = 0; i < want.size(); ++i)
-    ASSERT_TRUE(same_bits(want.data()[i], got.data()[i]));
+  apps::HotspotParams hp;
+  hp.rows = 35;
+  hp.cols = 27;
+  hp.iterations = 3;
+  hp.steady_init = false;
+  const auto hin = apps::make_hotspot_input(hp, 31);
+  expect_grids_identical(apps::run_hotspot<float>(hp, hin),
+                         apps::run_hotspot_batched(hp, hin));
+
+  apps::SradParams sp;
+  sp.rows = 39;
+  sp.cols = 37;
+  sp.iterations = 2;
+  const auto sin = apps::make_srad_input(sp, 11);
+  expect_grids_identical(apps::run_srad<float>(sp, sin.image),
+                         apps::run_srad_batched(sp, sin.image));
+
+  apps::CpParams cp;
+  cp.grid = 16;
+  cp.natoms = 12;
+  const auto atoms = apps::make_cp_atoms(cp, 29);
+  expect_grids_identical(apps::run_cp<float>(cp, atoms),
+                         apps::run_cp_batched(cp, atoms));
 }
 
 // --- SimReal compound assignments (single-lookup fast path) -----------------

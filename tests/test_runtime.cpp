@@ -172,20 +172,6 @@ TEST(Determinism, HotspotBitIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(bit_identical(ref, out)) << "threads=" << threads;
     EXPECT_EQ(ref_counters.counts, c.counts) << "threads=" << threads;
   }
-
-  // The tiled (barrier-phase) variant holds to the same contract.
-  common::GridF tiled_ref;
-  PerfCounters tiled_counters = run_with_config_parallel(cfg, 1, [&] {
-    tiled_ref = apps::run_hotspot_tiled<SimFloat>(p, input);
-  });
-  for (int threads : {2, 8}) {
-    common::GridF out;
-    PerfCounters c = run_with_config_parallel(cfg, threads, [&] {
-      out = apps::run_hotspot_tiled<SimFloat>(p, input);
-    });
-    EXPECT_TRUE(bit_identical(tiled_ref, out)) << "threads=" << threads;
-    EXPECT_EQ(tiled_counters.counts, c.counts) << "threads=" << threads;
-  }
 }
 
 // Fault injection + guard preserve the determinism contract: the injector is
