@@ -334,7 +334,7 @@ void BM_QmcCharBatch(benchmark::State& state) {
 BENCHMARK(BM_QmcCharBatch);
 
 // --- per-ISA span rows (runtime-registered) ----------------------------------
-// One row per hand-vectorized unit per *supported* ISA level, named
+// One row per vectorized unit per *supported* ISA level, named
 // BM_Span<Op>Batch/<unit>/isa:<level>, with the backend pinned for the row's
 // duration. The scalar row is the reference-loop baseline, so the
 // isa:<level> / isa:scalar time ratio is the measured speedup of runtime

@@ -43,8 +43,8 @@ std::uint32_t trunc_keep(int tr) {
 /// Precise fp32 add with NaN canonicalization and result-LSB truncation --
 /// the scalar form of the mac kernels' precise accumulation stage.
 float canon_add(float p, float c, std::uint32_t keep) {
-  return fp::from_bits<float>(
-      batch::detail::acc_lane<float>(fp::to_bits(p), fp::to_bits(c), 0, keep));
+  return fp::from_bits<float>(batch::detail::precise_acc_lane<float>(
+      fp::to_bits(p), fp::to_bits(c), keep));
 }
 
 /// One accumulate step of the non-wide policies.

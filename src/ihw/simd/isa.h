@@ -1,27 +1,26 @@
 #pragma once
 // Runtime ISA dispatch for the span kernels of ihw/batch.h (DESIGN.md §13).
 //
-// The batched span kernels are pure integer select chains, so a default
-// (portable baseline) build used to leave their throughput to whatever the
-// compiler's autovectorizer managed at -march=x86-64. This layer replaces
-// that hope with guarantees: hand-vectorized AVX2 and AVX-512 backends of
-// the hottest kernels live in kernels_avx2.cpp / kernels_avx512.cpp (each
-// compiled with just enough -m flags for its own ISA), and a cpuid-based
-// detector picks the widest supported backend once per process. One default
-// build binary therefore hits peak span throughput on any x86-64 host; on
-// other architectures (the NEON slot below is the intended extension point)
-// every table entry is null and the scalar reference loops in batch.h run.
+// The span loops of ihw/lanes.inc are compiled once at the portable
+// baseline (inside batch.h) and once more per vector ISA: kernels_avx2.cpp
+// and kernels_avx512.cpp each include the same source under just enough -m
+// flags for their ISA and export one KernelTable of its float loops. A
+// cpuid-based detector picks the widest supported table once per process,
+// so one default build binary runs the vector loops on any x86-64 host; on
+// other architectures every table entry is null and the baseline loops run.
 //
 // Bit-identity contract: a backend entry is only allowed in a table if it
-// produces exactly the bits of the scalar reference lane in batch.h for
-// every input, including NaN/Inf/signed-zero/subnormal operands and every
-// runtime parameter (TH, truncation mask). tests/test_simd.cpp enforces
-// this with exhaustive 16-bit-pattern cross-checks plus randomized fuzz per
-// backend, and the CTest suite re-runs under IHW_FORCE_ISA=scalar/avx2/
-// avx512 so the whole tree is exercised on each level the host supports.
-// Because every backend is bit-identical, FpDispatch::*_n,
-// GuardedDispatch::*_n, and runtime::batch_apply swap backends without any
-// observable difference beyond speed.
+// produces exactly the bits of the baseline loop in batch.h for every
+// input, including NaN/Inf/signed-zero/subnormal operands and every runtime
+// parameter (TH, truncation mask). Sharing the source makes that hold by
+// construction as long as no build contracts a*b+c into an FMA
+// (-ffp-contract=off); tests/test_simd.cpp enforces it with exhaustive
+// 16-bit-pattern cross-checks plus randomized fuzz per backend, and the
+// CTest suite re-runs under IHW_FORCE_ISA=scalar/avx2/avx512 so the whole
+// tree is exercised on each level the host supports. Because every backend
+// is bit-identical, FpDispatch::*_n, GuardedDispatch::*_n, and
+// runtime::batch_apply swap backends without any observable difference
+// beyond speed.
 //
 // Overrides: the IHW_FORCE_ISA environment variable (scalar|avx2|avx512,
 // read once at first use) pins the backend for testing and benchmarking;
@@ -33,17 +32,14 @@
 
 namespace ihw::simd {
 
-/// Backend levels, widest last within each architecture family. kNeon is a
-/// structural stub: parse/name/table plumbing accepts it so an aarch64
-/// backend only has to fill in a table, but no kernels exist yet and it is
-/// never reported as supported.
-enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+/// Backend levels, widest last.
+enum class IsaLevel : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// One resolved backend: the name that bench rows and logs report, plus one
-/// function pointer per hand-vectorized kernel. A null entry means "no
-/// hand-written kernel at this level" and the caller runs its scalar
-/// reference loop (that is the entire scalar table, and the double-precision
-/// lanes of every table today -- the hot app spans are float).
+/// function pointer per vectorized span loop. A null entry means "no build
+/// of this loop at this level" and the caller runs the baseline loop (that
+/// is the entire scalar table, and the double-precision lanes of every
+/// table -- the hot app spans are float).
 ///
 /// Signatures mirror the batch.h span wrappers with the per-span parameter
 /// resolution already done by the caller: `th` arrives pre-clamped to
@@ -75,7 +71,7 @@ struct KernelTable {
                         int th, std::uint32_t acc_keep) = nullptr;
 };
 
-/// Canonical lowercase name ("scalar", "avx2", "avx512", "neon").
+/// Canonical lowercase name ("scalar", "avx2", "avx512").
 const char* isa_name(IsaLevel level);
 
 /// Parses a canonical name (as accepted by IHW_FORCE_ISA). Returns false on

@@ -182,7 +182,22 @@ void run_sfu_sweep() {
   }
 }
 
-TEST(BatchUnits, SfuAndFmaFloat) { run_sfu_sweep<float>(); }
+TEST(BatchUnits, SfuAndFmaFloat) {
+  run_sfu_sweep<float>();
+  // Every sign, exponent field and top 7 fraction bits, with the low half
+  // clear and set: the vector ircp lane against the unit, including the
+  // exponents whose results fall into the subnormal flush.
+  constexpr std::size_t kPatterns = std::size_t{1} << 16;
+  std::vector<float> x(2 * kPatterns), out(x.size()), ref(x.size());
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    const auto hi = static_cast<std::uint32_t>(p) << 16;
+    x[2 * p] = fp::from_bits<float>(hi);
+    x[2 * p + 1] = fp::from_bits<float>(hi | 0xffffu);
+  }
+  batch::ircp_n(x.data(), out.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) ref[i] = ircp(x[i]);
+  expect_span_matches("ircp_n (2^16 high halves)", out, ref);
+}
 TEST(BatchUnits, SfuAndFmaDouble) { run_sfu_sweep<double>(); }
 
 template <typename T>

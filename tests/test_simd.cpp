@@ -1,8 +1,8 @@
-// SIMD backend <-> scalar reference bit-identity (DESIGN.md §13): the
-// dispatcher's detection/force/clamp semantics, exhaustive 16-bit-pattern
-// cross-checks and randomized fuzz pinning every hand-vectorized kernel --
-// the fused multiply-accumulate slots included, in place and out of place --
-// to the scalar reference loop (including NaN/Inf/signed-zero/subnormal
+// SIMD backend <-> baseline bit-identity (DESIGN.md §13): the dispatcher's
+// detection/force/clamp semantics, exhaustive 16-bit-pattern cross-checks
+// and randomized fuzz pinning every per-ISA build of a span loop -- the
+// fused multiply-accumulate slots included, in place and out of place -- to
+// the baseline build of the same loop (including NaN/Inf/signed-zero/subnormal
 // operands and remainder-tail lanes), fault-injection op-index parity
 // through GuardedDispatch::*_n per backend, and end-to-end app byte-identity
 // across ISA levels and thread counts. Each non-scalar case skips cleanly on
@@ -178,8 +178,7 @@ TEST(SimdDispatch, NamesAndParsing) {
   EXPECT_STREQ(simd::isa_name(IsaLevel::kScalar), "scalar");
   EXPECT_STREQ(simd::isa_name(IsaLevel::kAvx2), "avx2");
   EXPECT_STREQ(simd::isa_name(IsaLevel::kAvx512), "avx512");
-  EXPECT_STREQ(simd::isa_name(IsaLevel::kNeon), "neon");
-  IsaLevel l = IsaLevel::kNeon;
+  IsaLevel l = IsaLevel::kScalar;
   EXPECT_TRUE(simd::isa_parse("avx2", &l));
   EXPECT_EQ(l, IsaLevel::kAvx2);
   EXPECT_FALSE(simd::isa_parse("AVX2", &l));
@@ -188,22 +187,34 @@ TEST(SimdDispatch, NamesAndParsing) {
   EXPECT_EQ(l, IsaLevel::kAvx2);  // untouched on failure
 }
 
+/// Whether each of the table's kernel slots is non-null, in slot order.
+std::vector<bool> filled_slots(const simd::KernelTable& t) {
+  return {t.ifp_add_f32 != nullptr,      t.ifp_mul_f32 != nullptr,
+          t.acfp_log_f32 != nullptr,     t.trunc_mul_f32 != nullptr,
+          t.ircp_f32 != nullptr,         t.ifp_mac_f32 != nullptr,
+          t.acfp_log_mac_f32 != nullptr, t.trunc_mac_f32 != nullptr};
+}
+
 TEST(SimdDispatch, ActiveTableMatchesLevelAndScalarIsAllNull) {
   EXPECT_STREQ(simd::kernels().name, simd::isa_name(simd::isa_active()));
-  ScopedIsa scalar(IsaLevel::kScalar);
-  const simd::KernelTable& t = simd::kernels();
-  EXPECT_STREQ(t.name, "scalar");
-  EXPECT_EQ(t.ifp_add_f32, nullptr);
-  EXPECT_EQ(t.ifp_mul_f32, nullptr);
-  EXPECT_EQ(t.acfp_log_f32, nullptr);
-  EXPECT_EQ(t.trunc_mul_f32, nullptr);
-  EXPECT_EQ(t.ircp_f32, nullptr);
+  {
+    ScopedIsa scalar(IsaLevel::kScalar);
+    const simd::KernelTable& t = simd::kernels();
+    EXPECT_STREQ(t.name, "scalar");
+    EXPECT_EQ(filled_slots(t), std::vector<bool>(8, false));
+  }
+  // Every supported vector level fills every slot.
+  for (IsaLevel level : kVectorLevels) {
+    if (!simd::isa_supported(level)) continue;
+    ScopedIsa forced(level);
+    const simd::KernelTable& t = simd::kernels();
+    EXPECT_STREQ(t.name, simd::isa_name(level));
+    EXPECT_EQ(filled_slots(t), std::vector<bool>(8, true)) << t.name;
+  }
 }
 
 TEST(SimdDispatch, ForceClampsToSupportedAndRestores) {
   const IsaLevel before = simd::isa_active();
-  // NEON is a stub: forcing it must land on scalar, never fault.
-  EXPECT_EQ(simd::isa_force(IsaLevel::kNeon), IsaLevel::kScalar);
   // AVX-512 lands on itself, AVX2, or scalar depending on the host, and the
   // installed level is always executable.
   const IsaLevel got = simd::isa_force(IsaLevel::kAvx512);
@@ -229,7 +240,6 @@ TEST(SimdDispatch, EnvForceIsHonored) {
 
 TEST(SimdDispatch, BestSupportedIsExecutableAndActiveByDefault) {
   EXPECT_TRUE(simd::isa_supported(simd::isa_best_supported()));
-  EXPECT_FALSE(simd::isa_supported(IsaLevel::kNeon));
 }
 
 // --- exhaustive 16-bit-pattern cross-checks ----------------------------------
@@ -276,11 +286,14 @@ void run_fuzz(IsaLevel level) {
   if (!simd::isa_supported(level))
     GTEST_SKIP() << simd::isa_name(level) << " not supported on this host";
   // Spans shorter than, equal to, and just off the vector width exercise the
-  // remainder tails; the large spans exercise steady-state lanes.
+  // remainder tails; 255/256/257 straddle the mac kernels' product block
+  // (kMacBlock); the large spans exercise steady-state lanes.
+  static_assert(batch::detail::kMacBlock == 256);
   std::uint64_t seed = 1000 + 17 * static_cast<std::uint64_t>(level);
   for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                         std::size_t{9}, std::size_t{15}, std::size_t{16},
                         std::size_t{17}, std::size_t{31}, std::size_t{33},
+                        std::size_t{255}, std::size_t{256}, std::size_t{257},
                         std::size_t{4096}, std::size_t{20011}}) {
     cross_check_units(level, fuzz_operands(n, seed), fuzz_operands(n, seed + 1));
     if (::testing::Test::HasFatalFailure()) return;
