@@ -22,7 +22,7 @@
 //   --seed=S         fault-injection seed
 //   --cache-dir=D    persist per-point records under D
 //   --json=PATH      structured results (fingerprint/quality/cache per row)
-//   --resume         replay the journal in --cache-dir before evaluating
+//   --resume         continue a killed run from the records in --cache-dir
 //   --isolate        keep going past a failed point (exit 3 at the end)
 //   --deadline=S     soft per-point deadline in seconds (0 = off)
 #include <array>

@@ -27,7 +27,7 @@ namespace {
 
 // Returns false when a graceful drain interrupted the grid: nothing is
 // printed for this precision (stdout stays all-or-nothing) and the caller
-// exits with the drain code; completed groups are already journaled.
+// exits with the drain code; completed groups are already stored.
 bool sweep_precision(bool is64, std::uint64_t samples,
                      const power::SynthesisDb& db, sweep::EvalCache* cache,
                      sweep::HealthReport* health, sweep::Json* json_rows) {

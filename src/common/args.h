@@ -1,9 +1,9 @@
 #pragma once
 // Minimal `--key=value` / `--flag` argument parser shared by the bench and
-// example binaries. Unknown keys are collected so callers can warn.
-// Numeric accessors validate strictly: trailing garbage ("--threads=8x"),
-// non-numeric values ("--threads=abc"), and out-of-range magnitudes raise
-// ArgError naming the offending flag, instead of silently parsing to 0.
+// example binaries. Numeric accessors validate strictly: trailing garbage
+// ("--threads=8x"), non-numeric values ("--threads=abc"), and out-of-range
+// magnitudes raise ArgError naming the offending flag, instead of silently
+// parsing to 0.
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -36,9 +36,9 @@ class Args {
   /// Throws ArgError when negative or absurd (> 1e6).
   int threads() const;
 
-  /// The shared `--resume` flag of the sweep benches: replay the crash-safe
-  /// journal under --cache-dir before scheduling cold points (DESIGN.md
-  /// §12). Meaningless without --cache-dir.
+  /// The shared `--resume` flag of the sweep benches: continue a killed run
+  /// from the records under --cache-dir, first removing the stale tmp files
+  /// its writer left (DESIGN.md §12). Meaningless without --cache-dir.
   bool resume() const { return get_bool("resume", false); }
 
   /// The shared `--deadline=S` flag of the sweep benches: per-point soft

@@ -12,7 +12,8 @@ class Args;
 struct SweepFlags {
   /// --cache-dir=DIR: root of the on-disk record layer (empty = memory only).
   std::string cache_dir;
-  /// --resume: replay the crash-safe journal under --cache-dir first.
+  /// --resume: continue a killed run from --cache-dir, sweeping the stale
+  /// tmp files its writer left.
   bool resume = false;
   /// --isolate: keep going past a failed point (exit kExitPointFailure).
   bool isolate = false;

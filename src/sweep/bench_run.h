@@ -1,8 +1,8 @@
 #pragma once
 // Run-level plumbing shared by the sweep benches (fig14_power_quality,
 // fig08_error_char, mlp_inference, ablation_fault_guard,
-// table5_system_savings, ablation_dvfs): one EvalCache with the bench's
-// journal attached, the graceful-drain exit, the `[sweep] ...` stderr
+// table5_system_savings, ablation_dvfs): one EvalCache (swept of stale tmp
+// files under --resume), the graceful-drain exit, the `[sweep] ...` stderr
 // summary, and the common header of the --json document. Only stderr and
 // the --json file are written here; stdout stays the bench's own.
 #include <chrono>
@@ -20,9 +20,8 @@ namespace ihw::sweep {
 
 class BenchRun {
  public:
-  /// Opens the cache under flags.cache_dir (memory only when empty),
-  /// attaches the journal named `bench` -- replaying it first under
-  /// --resume -- and starts the elapsed-time clock.
+  /// Opens the cache under flags.cache_dir (memory only when empty), sweeps
+  /// its stale tmp files under --resume, and starts the elapsed-time clock.
   BenchRun(std::string bench, const common::SweepFlags& flags);
 
   EvalCache& cache() { return cache_; }

@@ -1,7 +1,9 @@
 #include "sweep/cache.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,10 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
-
-#include "sweep/journal.h"
 
 namespace ihw::sweep {
 namespace {
@@ -75,43 +74,50 @@ std::string unique_tmp_suffix() {
   return buf;
 }
 
-}  // namespace
+// Writes `data` to a new file at `path` and fsyncs it, so the bytes are
+// durable before the caller renames the file into place.
+bool write_synced(const std::string& path, const std::string& data) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  const char* p = data.data();
+  std::size_t left = data.size();
+  while (left > 0) {
+    const ssize_t w = ::write(fd, p, left);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return false;
+    }
+    p += w;
+    left -= static_cast<std::size_t>(w);
+  }
+  const bool synced = ::fsync(fd) == 0;
+  return (::close(fd) == 0) && synced;
+}
 
-EvalCache::EvalCache() = default;
+// Best-effort fsync of a directory, so a rename into it is durable.
+void sync_dir(const fs::path& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
+}
+
+}  // namespace
 
 EvalCache::EvalCache(std::string dir, std::string schema)
     : dir_(std::move(dir)), schema_(std::move(schema)) {}
 
-EvalCache::~EvalCache() = default;
-
-void EvalCache::attach_journal(const std::string& name, bool resume) {
-  if (dir_.empty()) return;
-  if (journal_)
-    throw std::logic_error("EvalCache::attach_journal: journal '" +
-                           journal_name_ + "' already attached; cannot attach '" +
-                           name + "'");
-  journal_name_ = name;
-  journal_ = std::make_unique<Journal>(dir_, schema_, name);
-  if (!resume) {
-    journal_->discard();
-    return;
-  }
-  // Single-writer resume: sweep stale tmp files a killed writer left behind
-  // (their contents were never renamed into place, so they are garbage).
+void EvalCache::attach_journal(const std::string& /*name*/, bool resume) {
+  if (dir_.empty() || !resume) return;
+  // Single-writer resume: a tmp file was never renamed into place, so its
+  // writer died before the record became durable and it is garbage.
   std::error_code ec;
-  const fs::path schema_dir = fs::path(dir_) / schema_;
-  if (fs::exists(schema_dir, ec)) {
-    for (const auto& entry : fs::directory_iterator(schema_dir, ec)) {
-      if (entry.path().filename().string().find(".tmp.") != std::string::npos)
-        fs::remove(entry.path(), ec);
-    }
+  for (const auto& entry :
+       fs::directory_iterator(fs::path(dir_) / schema_, ec)) {
+    if (entry.path().filename().string().find(".tmp.") != std::string::npos)
+      fs::remove(entry.path(), ec);
   }
-  const std::size_t n = journal_->replay([&](std::uint64_t fp,
-                                             EvalRecord&& rec) {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_[fp] = std::move(rec);
-  });
-  journal_replayed_.fetch_add(n);
 }
 
 std::optional<EvalRecord> EvalCache::lookup(std::uint64_t fp) {
@@ -145,7 +151,6 @@ void EvalCache::store(std::uint64_t fp, const EvalRecord& rec) {
     map_[fp] = rec;
   }
   if (!dir_.empty()) store_to_disk(fp, rec);
-  if (journal_) journal_->append(fp, rec);
   stores_.fetch_add(1);
 }
 
@@ -193,31 +198,30 @@ void EvalCache::quarantine(std::uint64_t fp) {
 void EvalCache::store_to_disk(std::uint64_t fp, const EvalRecord& rec) {
   std::error_code ec;
   const std::string path = path_for(fp);
+  const fs::path parent = fs::path(path).parent_path();
   const std::string text = serialize(fp, rec);
-  // Write-then-rename so concurrent readers never observe a torn record;
-  // bounded retry with backoff so a transient failure (momentary ENOSPC,
-  // EINTR storm) does not silently drop the record.
+  // Write, fsync, rename, fsync the directory: concurrent readers never
+  // observe a torn record, and a stored record survives SIGKILL or power
+  // loss, which is what lets a killed sweep resume from the store. Bounded
+  // retry with backoff so a transient failure (momentary ENOSPC, EINTR
+  // storm) does not silently drop the record.
   for (int attempt = 0; attempt < 3; ++attempt) {
     if (attempt > 0) {
       io_retries_.fetch_add(1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1 << attempt));
     }
-    fs::create_directories(fs::path(path).parent_path(), ec);
+    fs::create_directories(parent, ec);
     if (ec) continue;
     const std::string tmp = path + unique_tmp_suffix();
-    {
-      std::ofstream outf(tmp, std::ios::trunc | std::ios::binary);
-      if (!outf) continue;
-      outf << text;
-      outf.flush();
-      if (!outf.good()) {
-        outf.close();
-        fs::remove(tmp, ec);
-        continue;
-      }
+    if (!write_synced(tmp, text)) {
+      fs::remove(tmp, ec);
+      continue;
     }
     fs::rename(tmp, path, ec);
-    if (!ec) return;
+    if (!ec) {
+      sync_dir(parent);
+      return;
+    }
     fs::remove(tmp, ec);
   }
   std::fprintf(stderr,

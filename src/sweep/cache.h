@@ -6,24 +6,25 @@
 // Records are bit-exact: a warm lookup reproduces the cold evaluation's
 // output byte for byte.
 //
-// Two layers plus an optional journal:
+// Two layers:
 //  - in-process: a mutex-protected map, shared by every sweep in the run;
 //  - on disk (optional, --cache-dir): one content-addressed text file per
 //    fingerprint under <dir>/<schema-tag>/, so repeated bench invocations
 //    skip whole configurations. The schema tag namespaces the directory --
 //    bumping kSchemaTag orphans old records instead of misreading them.
 //    Doubles are serialized as C99 hex-floats, so the round trip is exact.
+//  - Durable: each record is written to a unique tmp file, fsynced, renamed
+//    into place and its directory fsynced, so a point stored before a
+//    SIGKILL or power loss survives it. The record store is therefore the
+//    sweep checkpoint: a killed run resumes by looking its finished points
+//    up on disk (DESIGN.md §12).
 //  - Self-healing: every record carries a whole-payload checksum, verified
 //    on load. A corrupt or truncated file is quarantined to
 //    <dir>/quarantine/ with a stderr diagnostic and the point is
 //    transparently re-evaluated; transient store failures retry with
 //    bounded backoff instead of silently dropping the record.
-//  - Journal (attach_journal): completed points additionally checkpoint to
-//    a crash-safe sequential journal so a killed sweep resumes with
-//    --resume (sweep/journal.h, DESIGN.md §12).
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -37,8 +38,6 @@
 #include "sweep/fingerprint.h"
 
 namespace ihw::sweep {
-
-class Journal;
 
 /// Everything one evaluated config point produced.
 struct EvalRecord {
@@ -63,28 +62,24 @@ struct EvalRecord {
 
 class EvalCache {
  public:
-  /// In-process cache only. (Defined out of line: the defaulted body needs
-  /// the complete Journal type for member cleanup.)
-  EvalCache();
+  /// In-process cache only.
+  EvalCache() = default;
   /// With a disk layer rooted at `dir` (created on first store). An empty
   /// dir disables the disk layer. `schema` defaults to kSchemaTag; tests
   /// override it to simulate a schema bump.
   explicit EvalCache(std::string dir, std::string schema = kSchemaTag);
-  ~EvalCache();
 
-  /// Attaches the crash-safe journal named `name` (one per bench) under the
-  /// disk root. With `resume`, valid journal entries are replayed into the
-  /// in-memory layer first (counted by journal_replayed()) and stale tmp
-  /// files left by a killed writer are swept; without it the journal starts
-  /// fresh. No-op when the cache has no disk layer. Resume assumes a single
-  /// writer per cache directory.
-  /// Attaching a second journal to the same cache (under any name) is a
-  /// programming error and throws std::logic_error.
+  /// The --resume hook: with `resume`, removes the stale tmp files a killed
+  /// writer left under the schema directory. Resume assumes a single writer
+  /// per cache directory; without `resume` nothing is touched, because a tmp
+  /// file may belong to a concurrent writer. The resumed run's finished
+  /// points are then served by lookup() from disk. `name` is unused.
+  /// Keeps the removed journal's name: perfbench/tracer.cpp calls it so.
   void attach_journal(const std::string& name, bool resume);
 
   /// Returns the record for `fp`, consulting memory then disk.
   std::optional<EvalRecord> lookup(std::uint64_t fp);
-  /// Inserts (memory always, disk and journal when enabled). Overwrites an
+  /// Inserts (memory always, durably on disk when enabled). Overwrites an
   /// existing record with the same fingerprint. Thread-safe.
   void store(std::uint64_t fp, const EvalRecord& rec);
 
@@ -98,11 +93,10 @@ class EvalCache {
   std::uint64_t quarantines() const { return quarantines_.load(); }
   /// Transient disk-store attempts that were retried.
   std::uint64_t io_retries() const { return io_retries_.load(); }
-  /// Entries restored from the journal by attach_journal(..., resume=true).
-  std::uint64_t journal_replayed() const { return journal_replayed_.load(); }
+  /// Always 0: nothing is replayed, resumed points count as disk_hits().
+  /// Kept because perfbench/tracer.cpp still reads it.
+  std::uint64_t journal_replayed() const { return 0; }
   const std::string& dir() const { return dir_; }
-  /// The attached journal, or nullptr.
-  Journal* journal() const { return journal_.get(); }
 
   /// Serialized record text (exposed for tests and tooling). The payload
   /// ends with an "end" line followed by a checksum line over every
@@ -122,11 +116,8 @@ class EvalCache {
   std::unordered_map<std::uint64_t, EvalRecord> map_;
   std::string dir_;
   std::string schema_{kSchemaTag};
-  std::string journal_name_;
-  std::unique_ptr<Journal> journal_;
   std::atomic<std::uint64_t> hits_{0}, misses_{0}, disk_hits_{0}, stores_{0};
-  std::atomic<std::uint64_t> quarantines_{0}, io_retries_{0},
-      journal_replayed_{0};
+  std::atomic<std::uint64_t> quarantines_{0}, io_retries_{0};
 };
 
 }  // namespace ihw::sweep

@@ -38,7 +38,7 @@ std::string HealthReport::summary() const {
   std::snprintf(buf, sizeof buf,
                 "points=%llu hits=%llu evaluated=%llu failures=%llu "
                 "skipped=%llu deadline_flags=%llu quarantines=%llu "
-                "io_retries=%llu journal_replayed=%llu",
+                "io_retries=%llu",
                 static_cast<unsigned long long>(points),
                 static_cast<unsigned long long>(cache_hits),
                 static_cast<unsigned long long>(evaluated),
@@ -46,8 +46,7 @@ std::string HealthReport::summary() const {
                 static_cast<unsigned long long>(skipped),
                 static_cast<unsigned long long>(deadline_flags),
                 static_cast<unsigned long long>(quarantines),
-                static_cast<unsigned long long>(io_retries),
-                static_cast<unsigned long long>(journal_replayed));
+                static_cast<unsigned long long>(io_retries));
   return buf;
 }
 
@@ -60,8 +59,7 @@ Json HealthReport::to_json() const {
       .set("skipped", skipped)
       .set("deadline_flags", deadline_flags)
       .set("quarantines", quarantines)
-      .set("io_retries", io_retries)
-      .set("journal_replayed", journal_replayed);
+      .set("io_retries", io_retries);
 }
 
 void install_drain_handler() {

@@ -20,7 +20,7 @@ class Json;
 /// Provenance/outcome of one grid point.
 enum class PointStatus : unsigned char {
   Evaluated,  // evaluated cold in this call and completed
-  CacheHit,   // served from the cache (memory, disk, or journal replay)
+  CacheHit,   // served from the cache (memory or disk)
   Failed,     // the point's eval threw; captured, rest of grid unaffected
   Skipped,    // not started: a drain was requested before it was scheduled
 };
@@ -33,7 +33,7 @@ const char* to_string(PointStatus s);
 ///    deterministic (point order, not completion order).
 ///  - isolate: a throwing eval marks only that point Failed (its
 ///    exception_ptr is captured into GridOutcome) and every other point
-///    completes and is cached/journaled normally.
+///    completes and is cached normally.
 /// soft_deadline_s > 0 arms a per-point watchdog: an evaluation that runs
 /// longer is flagged in GridOutcome/HealthReport (and diagnosed on stderr
 /// while still running) but never cancelled -- the deadline is soft.
@@ -50,8 +50,7 @@ FailPolicy make_fail_policy(const common::SweepFlags& flags);
 /// Run-level resilience counters. run_grid / characterize_grid* accumulate
 /// into this (so one report can span several grids); the cache-layer fields
 /// (quarantines, io_retries) are deltas of the EvalCache counters across the
-/// call, and journal_replayed is filled by EvalCache::attach_journal via
-/// EvalCache::journal_replayed().
+/// call.
 struct HealthReport {
   std::uint64_t points = 0;           // grid points requested
   std::uint64_t cache_hits = 0;       // served without evaluation
@@ -61,7 +60,6 @@ struct HealthReport {
   std::uint64_t deadline_flags = 0;   // evals that exceeded the soft deadline
   std::uint64_t quarantines = 0;      // corrupt cache records quarantined
   std::uint64_t io_retries = 0;       // transient disk-store retries
-  std::uint64_t journal_replayed = 0; // entries restored by --resume
 
   /// One-line "k=v ..." summary for stderr diagnostics.
   std::string summary() const;
@@ -70,8 +68,8 @@ struct HealthReport {
 };
 
 /// Installs SIGINT/SIGTERM handlers that request a graceful drain: running
-/// grids finish their in-flight points, skip the rest, flush the journal,
-/// and the bench exits with kDrainExitCode. Idempotent.
+/// grids finish (and store) their in-flight points, skip the rest, and the
+/// bench exits with kDrainExitCode. Idempotent.
 void install_drain_handler();
 
 /// True once a drain has been requested (signal, or request_drain()).

@@ -153,10 +153,10 @@ GridOutcome run_grid(const std::vector<GridPoint>& points, EvalCache* cache,
 
   {
     Watchdog watchdog(cold.size(), policy.soft_deadline_s);
-    // Each completed evaluation stores (and journals) immediately from its
-    // worker, so an interrupted run checkpoints every finished point. The
-    // per-fingerprint record files and the order-insensitive journal make
-    // the write *schedule* irrelevant to what a later run reads back.
+    // Each completed evaluation stores immediately from its worker, so an
+    // interrupted run checkpoints every finished point. Per-fingerprint
+    // record files make the write *schedule* irrelevant to what a later run
+    // reads back.
     const auto errors = runtime::parallel_tasks_capture(
         cold.size(),
         [&](std::size_t k) {
@@ -204,7 +204,6 @@ GridOutcome run_grid(const std::vector<GridPoint>& points, EvalCache* cache,
   if (cache != nullptr) {
     out.health.quarantines = cache->quarantines() - quarantines0;
     out.health.io_retries = cache->io_retries() - io_retries0;
-    out.health.journal_replayed = cache->journal_replayed();
   }
 
   if (!policy.isolate && policy.fail_fast) {
@@ -287,7 +286,8 @@ std::vector<error::CharResult> characterize_grid(
       out[group[k]] = std::move(res[k]);
     evaluated += group.size();
     // Checkpoint the finished group immediately: a later kill loses at most
-    // the in-flight group, and --resume replays everything stored here.
+    // the in-flight group, and a resumed run looks everything stored here
+    // up on disk.
     if (cache != nullptr) {
       for (const std::size_t i : group) {
         EvalRecord rec;
@@ -306,7 +306,6 @@ std::vector<error::CharResult> characterize_grid(
     if (cache != nullptr) {
       health->quarantines += cache->quarantines() - quarantines0;
       health->io_retries += cache->io_retries() - io_retries0;
-      health->journal_replayed = cache->journal_replayed();
     }
   }
   if (hits != nullptr) *hits = std::move(hit);

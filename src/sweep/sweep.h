@@ -10,11 +10,12 @@
 // (DESIGN.md §8-§10), so neither the schedule nor the cache can change a
 // record's bytes.
 //
-// Resilience (DESIGN.md §12): completed points checkpoint to the cache's
-// journal as they finish, a FailPolicy chooses between deterministic
-// fail-fast and per-point fault isolation, a soft-deadline watchdog flags
-// hung evaluations, and a requested drain (SIGINT/SIGTERM) finishes
-// in-flight points and skips the rest so the run can resume.
+// Resilience (DESIGN.md §12): completed points are stored durably to the
+// cache as they finish (the record store is the checkpoint), a FailPolicy
+// chooses between deterministic fail-fast and per-point fault isolation, a
+// soft-deadline watchdog flags hung evaluations, and a requested drain
+// (SIGINT/SIGTERM) finishes in-flight points and skips the rest so the run
+// can resume.
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -38,7 +39,7 @@ struct GridPoint {
 /// Records in point order plus per-point provenance for reporting.
 struct GridOutcome {
   std::vector<EvalRecord> records;
-  /// records[i] was served from the cache (memory, disk, or journal) rather
+  /// records[i] was served from the cache (memory or disk) rather
   /// than evaluated in this call. Points deduplicated onto an earlier point
   /// with the same fingerprint inherit that point's flag.
   std::vector<char> cache_hit;
@@ -59,7 +60,7 @@ struct GridOutcome {
 
 /// Evaluates every point: cache lookups first, then the cold points -- one
 /// evaluation per distinct fingerprint -- across the pool (`threads`, 0 =
-/// process default). Fresh records are stored (and journaled) as each
+/// process default). Fresh records are stored as each
 /// evaluation completes, so an interrupted run checkpoints every finished
 /// point. `cache` may be nullptr (dedup still applies).
 ///
@@ -86,7 +87,7 @@ struct CharPoint {
 /// evaluation per distinct exact op (error::characterize32_many). Results
 /// are in point order and bit-identical to standalone characterize32/64
 /// calls. `hits` (optional) receives the per-point cache-hit flags.
-/// Completed shared-stream groups are stored (and journaled) as they
+/// Completed shared-stream groups are stored as they
 /// finish, and a requested drain skips the remaining cold groups (their
 /// results stay default-constructed -- check drain_requested() before
 /// consuming them). `health` (optional) is accumulated into, so one report

@@ -1,5 +1,5 @@
 // Tests for the sweep resilience layer (DESIGN.md §12): record checksums
-// and quarantine, the crash-safe journal and --resume replay, torn-write
+// and quarantine, drain-then-resume from the record store, torn-write
 // safety of concurrent stores, FailPolicy isolation vs deterministic
 // fail-fast, the sweep benches' exit codes, graceful drain, the
 // soft-deadline watchdog, and per-task exception capture in the runtime.
@@ -20,7 +20,6 @@
 #include "sweep/bench_run.h"
 #include "sweep/cache.h"
 #include "sweep/health.h"
-#include "sweep/journal.h"
 #include "sweep/json.h"
 #include "sweep/sweep.h"
 
@@ -201,119 +200,71 @@ TEST(Quarantine, ConcurrentStoresLeaveNoTornFiles) {
   fs::remove_all(dir);
 }
 
-// ------------------------------------------------------------------ journal
+// ------------------------------------------------------------------- resume
 
-TEST(JournalTest, ReplayRestoresEveryRecordBitExactly) {
-  const std::string dir = testing::TempDir() + "ihw_resil_journal";
+TEST(ResumeTest, DrainThenResumeEvaluatesOnlySkippedPoints) {
+  // A drain requested while point 3 evaluates (serially, in point order)
+  // lets it finish and skips 4..7. A fresh cache resumed from the same
+  // directory must serve the four finished points from disk and evaluate
+  // only the four skipped ones.
+  DrainGuard guard;
+  const std::string dir = testing::TempDir() + "ihw_resil_resume";
   fs::remove_all(dir);
+  constexpr int kPoints = 8, kDrainAt = 3;
+  std::atomic<int> evals{0};
+  bool drain_mid_grid = true;
+  std::vector<GridPoint> pts;
+  for (int i = 0; i < kPoints; ++i)
+    pts.push_back({static_cast<std::uint64_t>(700 + i), [&, i] {
+                     evals.fetch_add(1);
+                     if (drain_mid_grid && i == kDrainAt) request_drain();
+                     return sample_record(i);
+                   }});
   {
     EvalCache cache(dir);
-    cache.attach_journal("t", /*resume=*/false);
-    for (int i = 0; i < 3; ++i)
-      cache.store(100 + i, sample_record(i * 0.5));
+    const auto out = run_grid(pts, &cache, FailPolicy{}, 1);
+    EXPECT_EQ(out.health.evaluated, kDrainAt + 1u);
+    EXPECT_EQ(out.health.skipped, kPoints - kDrainAt - 1u);
   }
-  // Delete the per-fingerprint record files: the journal alone must be able
-  // to restore the run.
-  for (const auto& e : fs::recursive_directory_iterator(dir))
-    if (e.is_regular_file() && e.path().extension() == ".rec")
-      fs::remove(e.path());
+  reset_drain();
+  drain_mid_grid = false;
+  evals = 0;
+
   EvalCache resumed(dir);
   resumed.attach_journal("t", /*resume=*/true);
-  EXPECT_EQ(resumed.journal_replayed(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    const auto back = resumed.lookup(100 + i);
-    ASSERT_TRUE(back.has_value()) << "fp " << 100 + i;
-    expect_record_identical(sample_record(i * 0.5), *back);
+  const auto out = run_grid(pts, &resumed, FailPolicy{}, 1);
+  EXPECT_EQ(resumed.disk_hits(), kDrainAt + 1u);
+  EXPECT_EQ(evals.load(), kPoints - kDrainAt - 1);
+  EXPECT_EQ(out.health.evaluated, kPoints - kDrainAt - 1u);
+  const auto ref = run_grid(pts, nullptr, FailPolicy{}, 1);
+  for (int i = 0; i < kPoints; ++i) {
+    EXPECT_EQ(out.status[i], i <= kDrainAt ? PointStatus::CacheHit
+                                           : PointStatus::Evaluated);
+    EXPECT_EQ(EvalCache::serialize(pts[i].fp, out.records[i]),
+              EvalCache::serialize(pts[i].fp, ref.records[i]));
   }
   fs::remove_all(dir);
 }
 
-TEST(JournalTest, TruncatedTailIsDroppedNotPropagated) {
-  const std::string dir = testing::TempDir() + "ihw_resil_jtail";
-  fs::remove_all(dir);
-  std::string jpath;
-  {
-    EvalCache cache(dir);
-    cache.attach_journal("t", false);
-    cache.store(1, sample_record(1.0));
-    cache.store(2, sample_record(2.0));
-    jpath = cache.journal()->path();
-  }
-  // Chop the last 40 bytes: entry 2's frame is now torn.
-  const auto size = fs::file_size(jpath);
-  fs::resize_file(jpath, size - 40);
-  EvalCache resumed(dir);
-  // Remove the .rec files so lookups can only be served by the journal.
-  for (const auto& e : fs::recursive_directory_iterator(dir))
-    if (e.is_regular_file() && e.path().extension() == ".rec")
-      fs::remove(e.path());
-  resumed.attach_journal("t", true);
-  EXPECT_EQ(resumed.journal_replayed(), 1u);
-  EXPECT_TRUE(resumed.lookup(1).has_value());
-  EXPECT_FALSE(resumed.lookup(2).has_value());
-  // Appending after a torn replay preserves the valid prefix.
-  resumed.store(3, sample_record(3.0));
-  EvalCache again(dir);
-  for (const auto& e : fs::recursive_directory_iterator(dir))
-    if (e.is_regular_file() && e.path().extension() == ".rec")
-      fs::remove(e.path());
-  again.attach_journal("t", true);
-  EXPECT_EQ(again.journal_replayed(), 2u);
-  fs::remove_all(dir);
-}
-
-TEST(JournalTest, NonResumeAttachDiscardsStaleJournal) {
-  const std::string dir = testing::TempDir() + "ihw_resil_jfresh";
-  fs::remove_all(dir);
-  {
-    EvalCache cache(dir);
-    cache.attach_journal("t", false);
-    cache.store(9, sample_record());
-  }
-  EvalCache fresh(dir);
-  fresh.attach_journal("t", /*resume=*/false);
-  EXPECT_EQ(fresh.journal_replayed(), 0u);
-  EXPECT_FALSE(fs::exists(fresh.journal()->path()));
-  fs::remove_all(dir);
-}
-
-TEST(JournalTest, ResumeSweepsStaleTmpFiles) {
+TEST(ResumeTest, ResumeSweepsStaleTmpFiles) {
   const std::string dir = testing::TempDir() + "ihw_resil_jtmp";
   fs::remove_all(dir);
   {
     EvalCache cache(dir);
-    cache.attach_journal("t", false);
     cache.store(1, sample_record());
   }
   // Simulate a writer killed between tmp write and rename.
   const std::string stale = dir + "/" + std::string(kSchemaTag) +
                             "/deadbeef.rec.tmp.999.0";
   std::ofstream(stale) << "half a record";
+  // Without --resume the tmp file may be a concurrent writer's: keep it.
+  EvalCache fresh(dir);
+  fresh.attach_journal("t", false);
+  EXPECT_TRUE(fs::exists(stale));
   EvalCache resumed(dir);
   resumed.attach_journal("t", true);
   EXPECT_FALSE(fs::exists(stale));
-  fs::remove_all(dir);
-}
-
-TEST(JournalTest, SecondAttachThrowsLogicError) {
-  const std::string dir = testing::TempDir() + "ihw_resil_jreatt";
-  fs::remove_all(dir);
-  EvalCache cache(dir);
-  cache.attach_journal("first", false);
-  Journal* before = cache.journal();
-  EXPECT_THROW(cache.attach_journal("first", false), std::logic_error);
-  EXPECT_THROW(cache.attach_journal("first", true), std::logic_error);
-  EXPECT_THROW(cache.attach_journal("second", false), std::logic_error);
-  // The original journal survives the rejected re-attaches.
-  EXPECT_EQ(cache.journal(), before);
-  EXPECT_EQ(cache.journal_replayed(), 0u);
-  cache.store(5, sample_record(0.25));
-  EvalCache resumed(dir);
-  resumed.attach_journal("first", true);
-  EXPECT_EQ(resumed.journal_replayed(), 1u);
-  const auto rec = resumed.lookup(5);
-  ASSERT_TRUE(rec.has_value());
-  expect_record_identical(*rec, sample_record(0.25));
+  EXPECT_TRUE(resumed.lookup(1).has_value());
   fs::remove_all(dir);
 }
 
@@ -447,14 +398,11 @@ TEST(HealthReportTest, SummaryAndJsonCarryAllCounters) {
   h.evaluated = 3;
   h.failures = 1;
   h.skipped = 1;
-  h.journal_replayed = 4;
   const std::string s = h.summary();
   EXPECT_NE(s.find("points=9"), std::string::npos);
   EXPECT_NE(s.find("failures=1"), std::string::npos);
-  EXPECT_NE(s.find("journal_replayed=4"), std::string::npos);
   const std::string j = h.to_json().dump();
   EXPECT_NE(j.find("\"failures\""), std::string::npos);
-  EXPECT_NE(j.find("\"journal_replayed\""), std::string::npos);
 }
 
 // ------------------------------------------------------------ runtime layer

@@ -4,13 +4,14 @@
 Runs a sweep bench three ways and checks the DESIGN.md §12 contract:
 
   1. reference:  cold run, no cache, stdout captured;
-  2. crash:      cold run with --cache-dir, SIGKILLed once the journal has
-                 committed at least one entry;
+  2. crash:      cold run with --cache-dir, SIGKILLed once the first
+                 ``<schema>/*.rec`` record has been stored;
   3. resume:     same command re-run with --resume.
 
 The resumed run's stdout must be byte-identical to the reference, the cache
-tree must contain no leftover ``*.tmp.*`` files, and (when the kill landed
-mid-grid) the resumed run's health must report journal_replayed > 0.
+tree must contain no leftover ``*.tmp.*`` files, and (when the kill landed)
+the resumed run must have served at least one checkpointed point from disk
+(``disk_hits`` >= 1 in its --json).
 
 Usage: crash_recovery_test.py BENCH_BINARY [--workdir=DIR] [bench args...]
 Exit code 0 on success, 1 on any contract violation.
@@ -36,13 +37,8 @@ def run(cmd, **kw):
     return subprocess.run(cmd, capture_output=True, **kw)
 
 
-def journal_files(cache_dir):
-    return [
-        p
-        for p in glob.glob(os.path.join(cache_dir, "**", "journal-*.log"),
-                           recursive=True)
-        if os.path.getsize(p) > 0
-    ]
+def stored_records(cache_dir):
+    return glob.glob(os.path.join(cache_dir, "*", "*.rec"))
 
 
 def main():
@@ -73,7 +69,7 @@ def main():
         if ref.returncode != 0:
             fail(f"reference run exited {ref.returncode}: {ref.stderr[-500:]}")
 
-        # 2. Crash run: SIGKILL once the journal shows committed progress.
+        # 2. Crash run: SIGKILL once the first record is in the store.
         # (Its own JSON never lands -- the process dies before writing it.)
         crash_cmd = [bench] + bench_args + [
             f"--cache-dir={cache_dir}",
@@ -86,14 +82,14 @@ def main():
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break  # finished before we could kill it -- fine, see below
-            if journal_files(cache_dir):
+            if stored_records(cache_dir):
                 proc.send_signal(signal.SIGKILL)
                 killed = True
                 break
             time.sleep(0.005)
         rc = proc.wait()
         if not killed and rc != 0:
-            fail(f"crash run exited {rc} before any journal entry appeared")
+            fail(f"crash run exited {rc} before any record was stored")
         if not killed:
             print("crash_recovery_test: note: bench finished before the "
                   "kill; resume degenerates to a warm run", file=sys.stderr)
@@ -113,20 +109,20 @@ def main():
             fail("resumed stdout differs from the cache-less reference")
 
         # Cache hygiene: the SIGKILL may strand at most tmp files that the
-        # resume's attach_journal sweep is required to have removed.
+        # resume's tmp sweep is required to have removed.
         stranded = glob.glob(os.path.join(cache_dir, "**", "*.tmp.*"),
                              recursive=True)
         if stranded:
             fail(f"stranded tmp files after resume: {stranded}")
 
         with open(resume_json) as f:
-            health = json.load(f).get("health", {})
-        if killed and health.get("journal_replayed", 0) < 1:
-            fail(f"killed mid-grid but journal_replayed = "
-                 f"{health.get('journal_replayed')}")
+            disk_hits = json.load(f).get("disk_hits", 0)
+        if killed and disk_hits < 1:
+            fail(f"killed after a record was stored but disk_hits = "
+                 f"{disk_hits}")
 
         print(f"crash_recovery_test: OK (killed={killed}, "
-              f"journal_replayed={health.get('journal_replayed', 0)})")
+              f"disk_hits={disk_hits})")
     finally:
         if own_tmp:
             shutil.rmtree(workdir, ignore_errors=True)
