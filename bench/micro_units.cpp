@@ -292,8 +292,9 @@ void qmc_char_operands(std::vector<float>* a, std::vector<float>* b) {
   }
 }
 
-// Scalar evaluation, the shape of the old sample_unit() producer: one unit
-// call and one exact double reference per element.
+// Scalar evaluation, the shape of the per-sample characterization oracle in
+// tests/test_error.cpp: one unit call and one exact double reference per
+// element.
 void BM_QmcCharScalar(benchmark::State& state) {
   std::vector<float> a(kSpan), b(kSpan), approx(kSpan);
   std::vector<double> exact(kSpan);

@@ -2,8 +2,11 @@
 // Structural (stage-by-stage) datapath models of the proposed units, built
 // from explicit hardware primitives: priority encoder, barrel shifter,
 // width-masked adders, and an array multiplier with column truncation.
-// These mirror the VHDL models of Fig. 11 and are cross-verified bit-exactly
-// against the functional models in src/ihw by the test suite.
+// These mirror the VHDL models of Fig. 11. They are a test oracle: the test
+// suite cross-checks them bit-exactly against the functional models in
+// src/ihw, which is the evidence that substituting the functional models for
+// the hardware is sound. Only array_cell_count has a production caller (the
+// NFM power model and table3_int_units).
 #include <cstdint>
 
 #include "ihw/acfp_mul.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <ostream>
 #include <sstream>
 
 namespace ihw::common {
@@ -60,8 +59,6 @@ std::string Table::csv() const {
   for (const auto& r : rows_) emit(r);
   return os.str();
 }
-
-void Table::print(std::ostream& os) const { os << str(); }
 
 std::string fmt(double v, int precision) {
   std::ostringstream os;

@@ -1,7 +1,6 @@
 #pragma once
 // Aligned console table and CSV emission used by the benchmark harnesses to
 // print paper tables/figure series.
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -26,8 +25,6 @@ class Table {
   std::string str() const;
   /// Renders as RFC-4180-ish CSV (no quoting of embedded commas needed here).
   std::string csv() const;
-
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

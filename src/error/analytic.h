@@ -2,8 +2,9 @@
 // Closed-form error bounds from the paper's formal analysis (Ch. 4.1) plus
 // numerically-derived extrema for the linear-approximation SFUs. These are
 // the "formal mathematical analysis" side of the error methodology; the
-// characterization driver (characterize.h) is the numerical side, and the
-// test suite cross-checks the two.
+// characterization driver (characterize.h) is the numerical side. They are
+// a test oracle: the test suite checks every characterized emax against
+// them. table1_emax prints them as its "analytic" column.
 namespace ihw::error::analytic {
 
 // --- TH-threshold adder (Ch. 4.1.1) ----------------------------------------

@@ -2,7 +2,6 @@
 // Quasi-Monte-Carlo error characterization driver (Ch. 4.2): feeds an
 // imprecise unit a low-discrepancy stream of operands and accumulates both
 // streaming statistics and the Figs. 8-9 log2-bucketed PMF.
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,11 +41,9 @@ std::string to_string(UnitKind k);
 /// drawn as significands in [1,2) scattered over a +-`exp_spread` exponent
 /// range (the paper characterizes the mantissa datapath; the exponent path
 /// is exact). `param` is TH for the adder and the truncation bit count for
-/// the multiplier variants; ignored elsewhere.
+/// the multiplier variants; ignored elsewhere. Same as
+/// characterize32_many({{kind, param}}, samples)[0].
 CharResult characterize32(UnitKind kind, int param, std::uint64_t samples);
-
-/// Same for the 64-bit units (used by the double-precision multiplier study).
-CharResult characterize64(UnitKind kind, int param, std::uint64_t samples);
 
 /// One point of a shared-stream characterization grid.
 struct CharRequest {
@@ -57,19 +54,12 @@ struct CharRequest {
 /// Characterizes every request over the same `samples` budget, sharing the
 /// quasi-MC operand stream and the exact reference evaluation between
 /// requests with the same generation recipe (DESIGN.md §11). Each returned
-/// CharResult is bit-identical to the corresponding standalone
-/// characterize32/64 call; results are in request order.
+/// CharResult is bit-identical to a one-request call for the same unit;
+/// results are in request order. The 64-bit form characterizes the
+/// double-precision units (the double multiplier study).
 std::vector<CharResult> characterize32_many(const std::vector<CharRequest>& reqs,
                                             std::uint64_t samples);
 std::vector<CharResult> characterize64_many(const std::vector<CharRequest>& reqs,
                                             std::uint64_t samples);
-
-/// Generic driver: op/ref are the approximate and exact implementations of a
-/// two-operand function; `gen` yields operand pairs.
-CharResult characterize_custom(
-    const std::string& label, std::uint64_t samples,
-    const std::function<void(double*, double*)>& gen,
-    const std::function<double(double, double)>& op,
-    const std::function<double(double, double)>& ref);
 
 }  // namespace ihw::error

@@ -127,13 +127,4 @@ constexpr T flush_subnormal(T v) {
   return v;
 }
 
-/// Distance in units-in-the-last-place between two same-sign finite values.
-/// Uses the ordered-integer trick; NaN inputs return max.
-std::uint64_t ulp_distance(float a, float b);
-std::uint64_t ulp_distance(double a, double b);
-
-/// Relative error |approx-exact|/|exact|; returns 0 when both are 0 and
-/// +inf when exact==0 but approx!=0.
-double relative_error(double exact, double approx);
-
 }  // namespace ihw::fp

@@ -12,7 +12,6 @@
 #include <limits>
 #include <map>
 #include <mutex>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -53,13 +52,6 @@ bool map_mul(const IhwConfig& icfg, error::UnitKind* kind, int* param) {
 
 }  // namespace
 
-bool AbftCounters::any() const {
-  return checksums || detections || nonfinite || blocks_recovered ||
-         fp_screens || residual_max > 0.0;
-}
-
-void AbftCounters::reset() { *this = AbftCounters{}; }
-
 AbftCounters& AbftCounters::operator+=(const AbftCounters& o) {
   checksums += o.checksums;
   detections += o.detections;
@@ -68,15 +60,6 @@ AbftCounters& AbftCounters::operator+=(const AbftCounters& o) {
   fp_screens += o.fp_screens;
   if (o.residual_max > residual_max) residual_max = o.residual_max;
   return *this;
-}
-
-std::string AbftCounters::summary() const {
-  if (!any()) return {};
-  std::ostringstream os;
-  os << "abft: checks=" << checksums << " det=" << detections
-     << " nonfinite=" << nonfinite << " recovered=" << blocks_recovered
-     << " screened=" << fp_screens << " resid_max=" << residual_max;
-  return os.str();
 }
 
 AbftCounters* sink() { return tls_sink; }

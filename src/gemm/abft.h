@@ -71,12 +71,7 @@ struct AbftCounters {
   std::uint64_t fp_screens = 0;        ///< flagged blocks recomputed bit-identical
   double residual_max = 0.0;           ///< max residual/threshold ratio observed
 
-  bool any() const;
-  void reset();
   AbftCounters& operator+=(const AbftCounters& o);
-
-  /// One-line report ("abft: checks=236 det=2 ..."); empty when idle.
-  std::string summary() const;
 };
 
 /// Thread-local counter sink: gemm::run's verification adds its tallies to

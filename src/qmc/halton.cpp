@@ -5,8 +5,9 @@
 namespace ihw::qmc {
 namespace {
 constexpr std::uint32_t kPrimes[Halton::kMaxDims] = {2, 3, 5, 7, 11, 13, 17, 19};
-}
 
+// Radical inverse of `index` in base `base`: its base-`base` digits mirrored
+// about the radix point.
 double radical_inverse(std::uint64_t index, std::uint32_t base) {
   double result = 0.0;
   double f = 1.0 / base;
@@ -17,6 +18,8 @@ double radical_inverse(std::uint64_t index, std::uint32_t base) {
   }
   return result;
 }
+
+}  // namespace
 
 Halton::Halton(int dims, std::uint64_t start_index)
     : dims_(dims), index_(start_index) {

@@ -22,7 +22,4 @@ class Halton {
   std::uint64_t index_;
 };
 
-/// Radical inverse of `index` in base `base`.
-double radical_inverse(std::uint64_t index, std::uint32_t base);
-
 }  // namespace ihw::qmc

@@ -32,46 +32,24 @@ struct TuneResult {
 /// rsqrt (11.1%) -> sqrt (11.1%) -> mul (25% / path-dependent) -> log2
 /// (unbounded) -> div (5.9%) -> rcp (5.9%) -> fma -> add (0.78%).
 /// Returns after the first configuration with quality >= constraint; if even
-/// fully precise fails, `satisfied` is false.
+/// fully precise fails, `satisfied` is false. To tune under a fault model,
+/// give `most_aggressive` the FaultConfig and GuardPolicy: the back-off knobs
+/// only touch unit enables, so every knob step keeps them (degrading a unit
+/// to precise also stops its faults -- a precise unit runs at nominal
+/// voltage). The exception is the fully precise fallback, reached when a
+/// unit no knob covers (exp2) is still on: it is IhwConfig::precise() and
+/// runs with no faults and no guard.
 TuneResult tune(const QualityEval& eval, double quality_constraint,
                 const ihw::IhwConfig& most_aggressive);
-
-/// Tuning under a fault model: every evaluated configuration carries the
-/// given FaultConfig and GuardPolicy, so the loop optimizes quality as
-/// measured on voltage-overscaled (faulting) hardware with the online guard
-/// in whatever state the policy says. The back-off order is unchanged --
-/// the loop still converges because degrading a unit to precise also stops
-/// its faults (a precise unit runs at nominal voltage).
-TuneResult tune(const QualityEval& eval, double quality_constraint,
-                const ihw::IhwConfig& most_aggressive,
-                const fault::FaultConfig& faults,
-                const fault::GuardPolicy& guard);
 
 /// The full candidate ladder tune() walks, pre-materialized: the starting
 /// configuration, every distinct back-off step, and the fully precise
 /// fallback when the ladder does not already end there. The back-off knobs
 /// only inspect configuration state -- never evaluation results -- which is
-/// what makes the ladder computable up front and the speculative variant
-/// below exact. No two entries are equal (DESIGN.md §11: the tuning loop
-/// never evaluates the same configuration twice).
+/// what makes the ladder computable up front. No two entries are equal
+/// (DESIGN.md §11: the tuning loop never evaluates the same configuration
+/// twice).
 std::vector<ihw::IhwConfig> backoff_candidates(
     const ihw::IhwConfig& most_aggressive);
-
-/// Speculative parallel tuning: evaluates the whole candidate ladder
-/// concurrently across the thread pool (`threads`, 0 = process default) and
-/// returns exactly the TuneResult tune() would -- same final config, same
-/// quality, same history prefix (candidates past the first satisfying one
-/// are discarded, not reported). `eval` must be safe to call from multiple
-/// threads at once; evaluations of later candidates may run even when an
-/// earlier candidate satisfies the constraint (that is the speculation).
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            int threads = 0);
-
-/// Speculative tuning under a fault model (see the faulted tune overload).
-TuneResult tune_speculative(const QualityEval& eval, double quality_constraint,
-                            const ihw::IhwConfig& most_aggressive,
-                            const fault::FaultConfig& faults,
-                            const fault::GuardPolicy& guard, int threads = 0);
 
 }  // namespace ihw::quality

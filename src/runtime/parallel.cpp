@@ -49,13 +49,6 @@ int configure_threads_from_args(const common::Args& args) {
   return default_threads();
 }
 
-void parallel_tasks(std::size_t n, const std::function<void(std::size_t)>& task,
-                    int threads) {
-  const auto errors = parallel_tasks_capture(n, task, threads);
-  for (const auto& e : errors)
-    if (e) std::rethrow_exception(e);
-}
-
 std::vector<std::exception_ptr> parallel_tasks_capture(
     std::size_t n, const std::function<void(std::size_t)>& task, int threads) {
   // Slot i is written only by the worker that ran task i, so no lock is

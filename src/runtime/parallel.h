@@ -74,19 +74,12 @@ int configure_threads_from_args(const common::Args& args);
 /// NOT epoch-labelled: each task is expected to build its own FpContext
 /// (apps/runner.h run_with_config / run_guarded). Tasks started from a pool
 /// worker degrade any nested parallel region to inline serial execution, so
-/// a task's result never depends on the thread count. Blocks until every
-/// task has finished (a failing task never cancels its siblings); the first
-/// exception in *task-index order* -- deterministic, unlike the old
-/// completion-order rethrow -- is then rethrown on the caller.
-void parallel_tasks(std::size_t n, const std::function<void(std::size_t)>& task,
-                    int threads = 0);
-
-/// Fault-isolating variant of parallel_tasks: every task runs to completion
-/// regardless of sibling failures, and instead of rethrowing, each task's
-/// exception is captured into slot i of the returned vector (nullptr for
-/// tasks that returned normally). The sweep grid driver builds its
-/// per-point failure containment (FailPolicy::isolate, DESIGN.md §12) on
-/// this.
+/// a task's result never depends on the thread count. Every task runs to
+/// completion regardless of sibling failures (none cancels another), and
+/// instead of rethrowing, each task's exception is captured into slot i of
+/// the returned vector (nullptr for tasks that returned normally). The sweep
+/// grid driver builds its per-point failure containment (FailPolicy::isolate,
+/// DESIGN.md §12) on this.
 std::vector<std::exception_ptr> parallel_tasks_capture(
     std::size_t n, const std::function<void(std::size_t)>& task,
     int threads = 0);

@@ -85,7 +85,7 @@ struct CharPoint {
 /// their stored accumulator state, and the remaining cold points with equal
 /// sample budgets share one Sobol operand stream and one exact-reference
 /// evaluation per distinct exact op (error::characterize32_many). Results
-/// are in point order and bit-identical to standalone characterize32/64
+/// are in point order and bit-identical to one-request characterize*_many
 /// calls. `hits` (optional) receives the per-point cache-hit flags.
 /// Completed shared-stream groups are stored as they
 /// finish, and a requested drain skips the remaining cold groups (their

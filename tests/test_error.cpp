@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+
+#include "ihw/ihw.h"
+#include "qmc/sobol.h"
+#include "runtime/parallel.h"
 
 namespace ihw::error {
 namespace {
@@ -105,9 +112,9 @@ TEST(Characterize, UnitBoundsRespectTheory) {
 }
 
 TEST(Characterize, SixtyFourBitVariantsWork) {
-  const auto res = characterize64(UnitKind::AcfpFull, 0, 100000);
+  const auto res = characterize64_many({{UnitKind::AcfpFull, 0}}, 100000)[0];
   EXPECT_LE(res.stats.max_rel(), 0.0206);
-  const auto res2 = characterize64(UnitKind::AcfpLog, 48, 100000);
+  const auto res2 = characterize64_many({{UnitKind::AcfpLog, 48}}, 100000)[0];
   EXPECT_LE(res2.stats.max_rel(), 0.20);
   EXPECT_GT(res2.stats.max_rel(), 0.12);
 }
@@ -119,25 +126,131 @@ TEST(Characterize, TruncationShiftsPmfRight) {
   EXPECT_GT(b.stats.mean_rel(), a.stats.mean_rel());
 }
 
-TEST(Characterize, CustomDriverMatchesDirectComputation) {
-  int calls = 0;
-  const auto res = characterize_custom(
-      "halving", 1000,
-      [&](double* a, double* b) {
-        *a = 1.0 + (calls++ % 100) * 0.01;
-        *b = 2.0;
-      },
-      [](double a, double b) { return a * b * 0.95; },
-      [](double a, double b) { return a * b; });
-  EXPECT_EQ(res.stats.samples(), 1000u);
-  EXPECT_NEAR(res.stats.max_rel(), 0.05, 1e-9);
-  EXPECT_NEAR(res.stats.mean_rel(), 0.05, 1e-9);
-  EXPECT_DOUBLE_EQ(res.stats.error_rate(), 1.0);
-}
-
 TEST(Characterize, LabelsIncludeParameters) {
   EXPECT_EQ(characterize32(UnitKind::AcfpLog, 19, 10).label, "log_path(19)");
   EXPECT_EQ(characterize32(UnitKind::Rcp, 0, 10).label, "ircp");
+}
+
+// ------------------------------------------------- scalar characterization oracle
+//
+// The per-sample loop the span-level driver must reproduce bit for bit: Sobol
+// point -> operand scatter -> scalar unit call -> ErrorStats::observe /
+// ErrorPmf::observe_rel_error, in ascending sample order. It shares only the
+// Sobol generator, the scalar units and the accumulators with the driver.
+
+// Significand uniform in [1,2) scaled by 2^e, e uniform in [-spread, spread].
+template <typename T>
+T scatter(double u, double v, int spread) {
+  const int e = static_cast<int>(std::floor(v * (2 * spread + 1))) - spread;
+  return static_cast<T>(std::ldexp(1.0 + u, e));
+}
+
+// One sample: maps the Sobol point p to operands and returns (exact, approx).
+template <typename T>
+std::pair<double, double> sample_unit(UnitKind kind, int param,
+                                      const double* p) {
+  // The adder is characterized over a +-12 exponent spread (every d-vs-TH
+  // alignment case); everything else over [1,2) significands.
+  const int spread =
+      (kind == UnitKind::FpAdd || kind == UnitKind::FpSub) ? 12 : 0;
+  const int th = param ? param : kDefaultAddTh;
+  const T a = scatter<T>(p[0], p[1], spread);
+  const T b = scatter<T>(p[2], p[3], spread);
+  const double da = a, db = b;
+  switch (kind) {
+    case UnitKind::FpAdd: return {da + db, ifp_add(a, b, th)};
+    case UnitKind::FpSub: return {da - db, ifp_sub(a, b, th)};
+    case UnitKind::FpMul: return {da * db, ifp_mul(a, b)};
+    case UnitKind::FpDiv: return {da / db, ifp_div(a, b)};
+    case UnitKind::Rcp: return {1.0 / da, ircp(a)};
+    case UnitKind::Rsqrt: return {1.0 / std::sqrt(da), irsqrt(a)};
+    case UnitKind::Sqrt: return {std::sqrt(da), isqrt(a)};
+    case UnitKind::Log2: return {std::log2(da), ilog2(a)};
+    case UnitKind::Exp2: {
+      const T x = static_cast<T>(p[0] * 8.0 - 4.0);  // fraction segment [-4,4)
+      return {std::exp2(static_cast<double>(x)), iexp2(x)};
+    }
+    case UnitKind::Fma: {
+      const T c = scatter<T>(p[4], p[5], spread);
+      return {da * db + static_cast<double>(c), ifp_fma(a, b, c)};
+    }
+    case UnitKind::AcfpLog: return {da * db, acfp_mul(a, b, AcfpPath::Log, param)};
+    case UnitKind::AcfpFull:
+      return {da * db, acfp_mul(a, b, AcfpPath::Full, param)};
+    case UnitKind::BitTrunc: return {da * db, trunc_mul(a, b, param)};
+  }
+  return {0.0, 0.0};
+}
+
+template <typename T>
+CharResult characterize_oracle(UnitKind kind, int param,
+                               std::uint64_t samples) {
+  CharResult res{to_string(kind), {}, ErrorPmf{}};
+  qmc::Sobol sobol(kind == UnitKind::Fma ? 6 : 4);
+  double p[6];
+  for (std::uint64_t i = 0; i < samples; ++i) {
+    sobol.next(p);
+    const auto [exact, approx] = sample_unit<T>(kind, param, p);
+    res.stats.observe(exact, approx);
+    if (exact != 0.0 && std::isfinite(exact))
+      res.pmf.observe_rel_error(std::fabs(approx - exact) / std::fabs(exact));
+  }
+  return res;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bit_identical(const CharResult& got, const CharResult& want) {
+  const auto sg = got.stats.state(), sw = want.stats.state();
+  EXPECT_EQ(sg.samples, sw.samples);
+  EXPECT_EQ(sg.errors, sw.errors);
+  EXPECT_EQ(sg.rel_samples, sw.rel_samples);
+  EXPECT_EQ(bits(sg.max_rel), bits(sw.max_rel));
+  EXPECT_EQ(bits(sg.sum_rel), bits(sw.sum_rel));
+  EXPECT_EQ(bits(sg.sum_abs), bits(sw.sum_abs));
+  EXPECT_EQ(bits(sg.max_abs), bits(sw.max_abs));
+  const auto pg = got.pmf.state(), pw = want.pmf.state();
+  EXPECT_EQ(pg.samples, pw.samples);
+  EXPECT_EQ(pg.zero_error, pw.zero_error);
+  EXPECT_EQ(pg.counts, pw.counts);
+}
+
+// Every UnitKind; non-zero params where the unit takes one.
+const CharRequest kAllUnits[] = {
+    {UnitKind::FpAdd, 5},    {UnitKind::FpSub, 0},    {UnitKind::FpMul, 0},
+    {UnitKind::FpDiv, 0},    {UnitKind::Rcp, 0},      {UnitKind::Rsqrt, 0},
+    {UnitKind::Sqrt, 0},     {UnitKind::Log2, 0},     {UnitKind::Exp2, 0},
+    {UnitKind::Fma, 0},      {UnitKind::AcfpLog, 7},  {UnitKind::AcfpFull, 3},
+    {UnitKind::BitTrunc, 11},
+};
+
+// Three driver chunks, the last one partial, so 4 threads reorder real work.
+constexpr std::uint64_t kOracleSamples = 140'000;
+
+TEST(CharacterizeOracle, Float32MatchesScalarLoopForEveryUnit) {
+  for (const auto& r : kAllUnits) {
+    const CharResult want = characterize_oracle<float>(r.kind, r.param,
+                                                       kOracleSamples);
+    for (const int threads : {1, 4}) {
+      runtime::ScopedThreads scope(threads);
+      SCOPED_TRACE(to_string(r.kind) + " threads=" + std::to_string(threads));
+      expect_bit_identical(characterize32(r.kind, r.param, kOracleSamples),
+                           want);
+    }
+  }
+}
+
+TEST(CharacterizeOracle, Float64MatchesScalarLoopForEveryUnit) {
+  for (const auto& r : kAllUnits) {
+    const CharResult want = characterize_oracle<double>(r.kind, r.param,
+                                                        kOracleSamples);
+    for (const int threads : {1, 4}) {
+      runtime::ScopedThreads scope(threads);
+      SCOPED_TRACE(to_string(r.kind) + " threads=" + std::to_string(threads));
+      expect_bit_identical(
+          characterize64_many({r}, kOracleSamples)[0], want);
+    }
+  }
 }
 
 }  // namespace

@@ -419,11 +419,10 @@ TEST(TunerUnderFaults, BacksOffFaultedClassToMeetConstraint) {
     return -quality::mae(precise_out, out);  // higher is better
   };
 
-  FaultConfig faults;
-  faults[UnitClass::Mul].rate = 5e-3;
-  const auto res = quality::tune(eval, /*quality_constraint=*/-0.5,
-                                 IhwConfig::all_imprecise(), faults,
-                                 GuardPolicy{});  // guard off: tuner must act
+  IhwConfig start = IhwConfig::all_imprecise();
+  start.faults[UnitClass::Mul].rate = 5e-3;
+  start.guard = GuardPolicy{};  // guard off: tuner must act
+  const auto res = quality::tune(eval, /*quality_constraint=*/-0.5, start);
   EXPECT_TRUE(res.satisfied);
   EXPECT_EQ(res.config.mul_mode, MulMode::Precise);
   // The fault descriptor rides along through every evaluated step.

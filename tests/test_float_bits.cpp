@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "common/rng.h"
+#include "ulp_distance.h"
 
 namespace ihw::fp {
 namespace {
@@ -96,13 +97,6 @@ TEST(UlpDistance, CrossesZeroAndHandlesNan) {
   // +0 and -0 are adjacent in the ordered-integer mapping.
   EXPECT_LE(ulp_distance(0.0f, -0.0f), 1u);
   EXPECT_EQ(ulp_distance(std::nanf(""), 1.0f), ~0ull);
-}
-
-TEST(RelativeError, Definition) {
-  EXPECT_NEAR(relative_error(2.0, 2.2), 0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
-  EXPECT_TRUE(std::isinf(relative_error(0.0, 1.0)));
-  EXPECT_DOUBLE_EQ(relative_error(-4.0, -3.0), 0.25);
 }
 
 }  // namespace

@@ -88,11 +88,14 @@ TEST(Sobol, SeekMatchesSequentialAdvance) {
   }
 }
 
-TEST(Sobol, SkipAdvancesSequence) {
+TEST(Sobol, SeekAheadOfCurrentPosition) {
+  // Seeking forward from a stream that has already emitted points lands on
+  // the same point as stepping there.
   Sobol a(2), b(2);
   double pa[2], pb[2];
-  a.skip(100);
-  for (int i = 0; i < 100; ++i) b.next(pb);
+  for (int i = 0; i < 37; ++i) a.next(pa);
+  a.seek(137);
+  for (int i = 0; i < 137; ++i) b.next(pb);
   a.next(pa);
   b.next(pb);
   EXPECT_DOUBLE_EQ(pa[0], pb[0]);
@@ -105,24 +108,41 @@ TEST(Sobol, RejectsBadDimensionCounts) {
   EXPECT_NO_THROW(Sobol(8));
 }
 
-TEST(Halton, RadicalInverseKnownValues) {
-  EXPECT_DOUBLE_EQ(radical_inverse(1, 2), 0.5);
-  EXPECT_DOUBLE_EQ(radical_inverse(2, 2), 0.25);
-  EXPECT_DOUBLE_EQ(radical_inverse(3, 2), 0.75);
-  EXPECT_DOUBLE_EQ(radical_inverse(1, 3), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(radical_inverse(2, 3), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(radical_inverse(3, 3), 1.0 / 9.0);
-  EXPECT_DOUBLE_EQ(radical_inverse(0, 5), 0.0);
+TEST(Halton, FirstPointsAreRadicalInverses) {
+  // Point i is the radical inverse of i in bases 2, 3, 5 (digits of i
+  // mirrored about the radix point); the sequence starts at index 1.
+  Halton h(3);
+  double p[3];
+  const double expected[3][3] = {{0.5, 1.0 / 3.0, 0.2},
+                                 {0.25, 2.0 / 3.0, 0.4},
+                                 {0.75, 1.0 / 9.0, 0.6}};
+  for (const auto& e : expected) {
+    h.next(p);
+    for (int d = 0; d < 3; ++d) EXPECT_DOUBLE_EQ(p[d], e[d]) << "dim " << d;
+  }
+  Halton from_zero(1, 0);
+  from_zero.next(p);
+  EXPECT_DOUBLE_EQ(p[0], 0.0);
 }
 
-TEST(Halton, SequenceMatchesRadicalInverses) {
+TEST(Halton, SequenceMatchesDigitReversal) {
+  // Independent check of the radical inverse: reverse i's base-b digits into
+  // an integer numerator over b^k, then divide once.
+  auto digit_reversal = [](std::uint64_t i, std::uint64_t base) {
+    std::uint64_t num = 0, den = 1;
+    for (; i > 0; i /= base) {
+      num = num * base + i % base;
+      den *= base;
+    }
+    return static_cast<double>(num) / static_cast<double>(den);
+  };
   Halton h(3);
   double p[3];
   for (std::uint64_t i = 1; i <= 100; ++i) {
     h.next(p);
-    EXPECT_DOUBLE_EQ(p[0], radical_inverse(i, 2));
-    EXPECT_DOUBLE_EQ(p[1], radical_inverse(i, 3));
-    EXPECT_DOUBLE_EQ(p[2], radical_inverse(i, 5));
+    EXPECT_NEAR(p[0], digit_reversal(i, 2), 1e-15);
+    EXPECT_NEAR(p[1], digit_reversal(i, 3), 1e-15);
+    EXPECT_NEAR(p[2], digit_reversal(i, 5), 1e-15);
   }
 }
 

@@ -318,7 +318,7 @@ TEST(CharGrid, BitIdenticalToStandalone64) {
   };
   const auto grid = characterize_grid64(pts, nullptr);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto solo = error::characterize64(pts[i].kind, pts[i].param, n);
+    const auto solo = error::characterize64_many({{pts[i].kind, pts[i].param}}, n)[0];
     expect_char_identical(grid[i], solo);
   }
 }
@@ -358,8 +358,9 @@ TEST(Shared, ComputedExactlyOnceUnderConcurrency) {
     return 41 + 1;
   });
   EXPECT_FALSE(value.ready());
-  runtime::parallel_tasks(16, [&](std::size_t) { EXPECT_EQ(value.get(), 42); },
-                          4);
+  const auto errors = runtime::parallel_tasks_capture(
+      16, [&](std::size_t) { EXPECT_EQ(value.get(), 42); }, 4);
+  for (const auto& e : errors) EXPECT_FALSE(e);
   EXPECT_EQ(builds.load(), 1);
   EXPECT_TRUE(value.ready());
 }

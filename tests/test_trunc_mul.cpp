@@ -7,7 +7,7 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "fpcore/float_bits.h"
+#include "ulp_distance.h"
 
 namespace ihw {
 namespace {

@@ -135,59 +135,50 @@ TEST(Tuner, BackoffCandidatesAreUniqueAndStartAtTheStart) {
       EXPECT_FALSE(cands[i] == cands[j]);
 }
 
-void expect_results_identical(const TuneResult& a, const TuneResult& b) {
-  EXPECT_TRUE(a.config == b.config);
-  EXPECT_DOUBLE_EQ(a.quality, b.quality);
-  EXPECT_EQ(a.satisfied, b.satisfied);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_TRUE(a.history[i].config == b.history[i].config);
-    EXPECT_DOUBLE_EQ(a.history[i].quality, b.history[i].quality);
-    EXPECT_EQ(a.history[i].met_constraint, b.history[i].met_constraint);
-  }
-}
-
-TEST(TunerSpeculative, MatchesSequentialForEveryConstraint) {
-  // The speculative variant must return the exact TuneResult of the
-  // sequential walk: same final config, same history prefix. Sweep the
-  // constraint through every interesting region (first-step pass, ladder
-  // stops, precise fallback, unsatisfiable).
-  for (const double constraint :
-       {0.05, 0.5, 0.65, 0.8, 0.9, 0.97, 0.99, 1.0, 2.0}) {
-    const auto seq =
-        tune(synthetic_quality, constraint, ihw::IhwConfig::all_imprecise());
-    const auto spec = tune_speculative(synthetic_quality, constraint,
-                                       ihw::IhwConfig::all_imprecise());
-    expect_results_identical(seq, spec);
-  }
-}
-
-TEST(TunerSpeculative, MatchesSequentialWithFaultModel) {
-  const auto faults = fault::FaultConfig::uniform(1e-4, 99);
-  fault::GuardPolicy guard;
-  guard.enabled = true;
+TEST(Tuner, FaultModelRidesEveryStep) {
+  // Tuning under a fault model: the starting configuration carries the
+  // FaultConfig and GuardPolicy, the back-off knobs touch only unit enables,
+  // so every evaluated step keeps both and walks the fault-free ladder
+  // (constraint 2.0 walks all of it).
+  ihw::IhwConfig start = ihw::IhwConfig::all_imprecise();
+  start.faults = fault::FaultConfig::uniform(1e-4, 99);
+  start.guard.enabled = true;
   for (const double constraint : {0.5, 0.9, 2.0}) {
-    const auto seq = tune(synthetic_quality, constraint,
-                          ihw::IhwConfig::all_imprecise(), faults, guard);
-    const auto spec =
-        tune_speculative(synthetic_quality, constraint,
-                         ihw::IhwConfig::all_imprecise(), faults, guard);
-    expect_results_identical(seq, spec);
-    // The fault descriptors ride along through every history step.
-    for (const auto& step : seq.history) {
-      if (step.config.any_enabled()) {
-        EXPECT_TRUE(step.config.faults == faults);
-      }
+    const auto faulted = tune(synthetic_quality, constraint, start);
+    const auto clean =
+        tune(synthetic_quality, constraint, ihw::IhwConfig::all_imprecise());
+    ASSERT_EQ(faulted.history.size(), clean.history.size()) << constraint;
+    for (std::size_t i = 0; i < faulted.history.size(); ++i) {
+      const ihw::IhwConfig& step = faulted.history[i].config;
+      EXPECT_TRUE(step.faults == start.faults) << "step " << i;
+      EXPECT_TRUE(step.guard == start.guard) << "step " << i;
+      ihw::IhwConfig unfaulted = step;
+      unfaulted.faults = {};
+      unfaulted.guard = {};
+      EXPECT_TRUE(unfaulted == clean.history[i].config) << "step " << i;
+      EXPECT_DOUBLE_EQ(faulted.history[i].quality, clean.history[i].quality);
     }
+    EXPECT_EQ(faulted.satisfied, clean.satisfied);
   }
 }
 
-TEST(TunerSpeculative, ThreadCountInvariant) {
-  const auto one = tune_speculative(synthetic_quality, 0.9,
-                                    ihw::IhwConfig::all_imprecise(), 1);
-  const auto four = tune_speculative(synthetic_quality, 0.9,
-                                     ihw::IhwConfig::all_imprecise(), 4);
-  expect_results_identical(one, four);
+TEST(Tuner, PreciseFallbackDropsFaultModel) {
+  // No knob covers exp2, so a ladder that starts with it on ends in the
+  // fully precise fallback -- which carries no faults and no guard.
+  ihw::IhwConfig start = ihw::IhwConfig::all_imprecise();
+  start.exp2_enabled = true;
+  start.faults = fault::FaultConfig::uniform(1e-4, 99);
+  start.guard.enabled = true;
+  const auto res = tune(synthetic_quality, 2.0, start);
+  ASSERT_GE(res.history.size(), 2u);
+  EXPECT_FALSE(res.satisfied);
+  for (std::size_t i = 0; i + 1 < res.history.size(); ++i) {
+    const ihw::IhwConfig& step = res.history[i].config;
+    EXPECT_TRUE(step.exp2_enabled) << "step " << i;
+    EXPECT_TRUE(step.faults == start.faults) << "step " << i;
+    EXPECT_TRUE(step.guard == start.guard) << "step " << i;
+  }
+  EXPECT_TRUE(res.history.back().config == ihw::IhwConfig::precise());
 }
 
 }  // namespace
