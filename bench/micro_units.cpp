@@ -271,10 +271,10 @@ BENCHMARK_CAPTURE(BM_SpanAddScalar, ifp, add_only_config());
 BENCHMARK_CAPTURE(BM_SpanAddBatch, ifp, add_only_config());
 
 // --- QMC error-characterization sweep ---------------------------------------
-// The inner loop of error/characterize.cpp for the imprecise multiplier:
-// Sobol-scattered operands (generated once, outside the timed region, exactly
-// as the characterization pipeline stages them per chunk), then approximate
-// unit + exact double reference + relative-error accumulation.
+// The span stage of the error/characterize.cpp producer for the imprecise
+// multiplier: Sobol-scattered operands (generated once, outside the timed
+// region, exactly as the characterization pipeline stages them per chunk),
+// then approximate unit + exact double reference.
 
 void qmc_char_operands(std::vector<float>* a, std::vector<float>* b) {
   qmc::Sobol sobol(4);
@@ -314,8 +314,9 @@ void BM_QmcCharScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_QmcCharScalar);
 
-// Span evaluation, the shape of eval_unit_batch(): the approximate unit runs
-// as one batched span, the exact reference as a plain (vectorizable) loop.
+// Span evaluation, the shape of the characterization producer (run_many in
+// error/characterize.cpp): the approximate unit runs as one batched span, the
+// exact reference as a plain (vectorizable) loop.
 void BM_QmcCharBatch(benchmark::State& state) {
   std::vector<float> a(kSpan), b(kSpan), approx(kSpan);
   std::vector<double> exact(kSpan);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -149,9 +151,11 @@ void approx_unit_batch(UnitKind kind, int param, std::size_t m, const T* a,
 }
 
 // Chunk granularity of the parallel sweep. Fixed (never derived from the
-// thread count) so the accumulation stream fed to ErrorStats/ErrorPmf is
-// identical for every --threads value, including the serial path.
-constexpr std::uint64_t kCharChunk = 1 << 16;
+// thread count) so the per-sample stream folded into ErrorStats/ErrorPmf is
+// identical for every --threads value, including the serial path; results
+// do not depend on its value at all (see run_many). It bounds the buffered
+// sum terms: 16 bytes per sample and request per chunk in flight.
+constexpr std::uint64_t kCharChunk = 1 << 14;
 
 std::string make_label(UnitKind kind, int param) {
   // Built piecewise: chained operator+ trips the GCC 12 -Wrestrict false
@@ -183,15 +187,28 @@ GenRecipe gen_recipe(UnitKind kind) {
   return {spread, kind == UnitKind::Fma ? 6 : 4, kind == UnitKind::Exp2};
 }
 
+/// One request's share of a chunk: the counts, maxima and PMF of its
+/// samples (order-independent, so reduced in the producer) and the terms of
+/// the two floating-point sums, which the consumer folds in sample order.
+struct MemberChunk {
+  ErrorStats counts;  // sums untouched (+0.0)
+  ErrorPmf pmf;
+  std::vector<double> abs_err, rel;
+};
+
 /// The characterization driver (DESIGN.md §11): one pass per generation
 /// recipe, with the quasi-MC operand stream generated once per chunk and the
 /// exact reference evaluated once per distinct ExactOp, then borrowed by
-/// every request in the group. Sample evaluation is pure, so chunks fan out
-/// over the parallel runtime (each worker seeks its own Sobol stream to the
-/// chunk offset in O(log n)); each request's accumulators consume its
-/// (exact, approx) stream on this thread in ascending sample order -- a
-/// deterministic ordered reduction, so every CharResult is bit-identical at
-/// any thread count and to a one-request call for the same unit.
+/// every request in the group. Chunks fan out over the parallel runtime
+/// (each worker seeks its own Sobol stream to the chunk offset in O(log n))
+/// and each producer also does all per-sample error arithmetic
+/// (ErrorStats::sample, the PMF bucket) and reduces the order-independent
+/// accumulator state. The ordered consumer, on this thread in ascending
+/// chunk order, merges those counts and folds only the sum_abs/sum_rel
+/// chains in ascending sample order -- the same operands in the same order
+/// as a serial ErrorStats::observe loop, so every CharResult is
+/// bit-identical at any thread count or chunk size and to a one-request
+/// call for the same unit.
 template <typename T>
 std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
                                  std::uint64_t samples) {
@@ -233,11 +250,12 @@ std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
     }
 
     const bool ternary = g.recipe.dims == 6;
-    struct GridChunk {
-      std::vector<std::vector<double>> exact;  // one span per distinct op
-      std::vector<std::vector<T>> approx;      // one span per group member
-    };
-    runtime::ordered_chunks<GridChunk>(
+    // Chunk buffers cycle through a free list, so after the first wave no
+    // producer allocates: fresh 256 KiB of sum terms per request and chunk
+    // cost more in page faults than the error arithmetic that fills them.
+    std::mutex spare_mu;
+    std::vector<std::vector<MemberChunk>> spare;
+    runtime::ordered_chunks<std::vector<MemberChunk>>(
         samples, kCharChunk,
         [&](std::uint64_t begin, std::uint64_t end) {
           const std::size_t m = static_cast<std::size_t>(end - begin);
@@ -245,12 +263,14 @@ std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
           sobol.seek(begin);
           // SoA producer: scalar Sobol + operand scatter, done once for the
           // whole group, then one span-level evaluation per exact op and per
-          // request. The operand scratch is thread-local so each worker
+          // request. The scratch spans are thread-local so each worker
           // touches the same pages every chunk.
-          static thread_local common::AlignedVector<T> a, b, c;
+          static thread_local common::AlignedVector<T> a, b, c, approx;
+          static thread_local std::vector<std::vector<double>> exact;
           a.resize(m);
           b.resize(m);
           c.resize(ternary ? m : 0);
+          approx.resize(m);
           double p[6];
           for (std::size_t i = 0; i < m; ++i) {
             sobol.next(p);
@@ -262,36 +282,62 @@ std::vector<CharResult> run_many(const std::vector<CharRequest>& reqs,
               if (ternary) c[i] = scatter<T>(p[4], p[5], g.recipe.spread);
             }
           }
-          GridChunk chunk;
-          chunk.exact.reserve(exact_ops.size());
-          for (const ExactOp op : exact_ops) {
-            std::vector<double> exact(m);
-            exact_unit_batch<T>(op, m, a.data(), b.data(), c.data(),
-                                exact.data());
-            chunk.exact.push_back(std::move(exact));
+          exact.resize(exact_ops.size());
+          for (std::size_t k = 0; k < exact_ops.size(); ++k) {
+            exact[k].resize(m);
+            exact_unit_batch<T>(exact_ops[k], m, a.data(), b.data(), c.data(),
+                                exact[k].data());
           }
-          chunk.approx.reserve(g.members.size());
-          for (const std::size_t idx : g.members) {
-            std::vector<T> approx(m);
-            approx_unit_batch<T>(reqs[idx].kind, reqs[idx].param, m, a.data(),
-                                 b.data(), c.data(), approx.data());
-            chunk.approx.push_back(std::move(approx));
+          std::vector<MemberChunk> chunk;
+          {
+            const std::lock_guard<std::mutex> lock(spare_mu);
+            if (!spare.empty()) {
+              chunk = std::move(spare.back());
+              spare.pop_back();
+            }
+          }
+          chunk.resize(g.members.size());
+          for (std::size_t j = 0; j < g.members.size(); ++j) {
+            const CharRequest& r = reqs[g.members[j]];
+            approx_unit_batch<T>(r.kind, r.param, m, a.data(), b.data(),
+                                 c.data(), approx.data());
+            const double* ex = exact[op_of_member[j]].data();
+            MemberChunk& mc = chunk[j];
+            mc.abs_err.resize(m);
+            mc.rel.resize(m);
+            // Local accumulators stay in registers through the loop.
+            ErrorStats counts;
+            ErrorPmf pmf;
+            for (std::size_t i = 0; i < m; ++i) {
+              const double e = ex[i];
+              const ErrorStats::Sample s =
+                  ErrorStats::sample(e, static_cast<double>(approx[i]));
+              counts.count(s);
+              mc.abs_err[i] = s.abs_err;
+              mc.rel[i] = s.rel;
+              // Every finite non-zero exact is a PMF sample; its relative
+              // error is s.rel, or NaN (no bucket) when approx is NaN.
+              if (e != 0.0 && std::isfinite(e))
+                pmf.observe_rel_error(
+                    s.has_rel ? s.rel
+                              : std::numeric_limits<double>::quiet_NaN());
+            }
+            mc.counts = counts;
+            mc.pmf = std::move(pmf);
           }
           return chunk;
         },
-        [&](GridChunk&& chunk) {
+        [&](std::vector<MemberChunk>&& chunk) {
           for (std::size_t j = 0; j < g.members.size(); ++j) {
             CharResult& res = out[g.members[j]];
-            const std::vector<double>& exact = chunk.exact[op_of_member[j]];
-            const std::vector<T>& approx = chunk.approx[j];
-            for (std::size_t i = 0; i < exact.size(); ++i) {
-              const double e = exact[i];
-              const double ap = static_cast<double>(approx[i]);
-              res.stats.observe(e, ap);
-              if (e != 0.0 && std::isfinite(e))
-                res.pmf.observe_rel_error(std::fabs(ap - e) / std::fabs(e));
-            }
+            const MemberChunk& mc = chunk[j];
+            res.stats.merge_counts(mc.counts);
+            res.pmf.merge(mc.pmf);
+            res.stats.add_sums(mc.abs_err.data(), mc.rel.data(),
+                               mc.abs_err.size());
           }
+          const std::lock_guard<std::mutex> lock(spare_mu);
+          spare.push_back(std::move(chunk));
         });
   }
   return out;

@@ -2,6 +2,8 @@
 // Streaming error metrics for imprecise-unit characterization (Ch. 4):
 // maximum/mean relative error, error rate, and the error-distance metrics
 // (MED/WED) of Han & Orshansky's survey cited by the paper.
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace ihw::error {
@@ -21,7 +23,67 @@ class ErrorStats {
     double max_abs = 0.0;
   };
 
-  void observe(double exact, double approx);
+  /// One (exact, approx) pair reduced to what the accumulators take from it.
+  /// observe() is count() plus add_sums() of sample(), so this is the one
+  /// definition of the per-sample rule. A pair with a NaN side is counted as
+  /// a sample and contributes +0.0 to both sums; `rel` is +0.0 (and
+  /// `has_rel` false) unless exact is finite and non-zero.
+  struct Sample {
+    double abs_err = 0.0;  ///< |approx - exact|
+    double rel = 0.0;      ///< abs_err / |exact|
+    bool has_rel = false;
+  };
+  static Sample sample(double exact, double approx) {
+    Sample s;
+    if (std::isnan(exact) || std::isnan(approx)) return s;
+    s.abs_err = std::fabs(approx - exact);
+    if (exact != 0.0 && std::isfinite(exact)) {
+      s.rel = s.abs_err / std::fabs(exact);
+      s.has_rel = true;
+    }
+    return s;
+  }
+
+  /// The order-independent part of observe(): integer counts and maxima of
+  /// NaN-free values (a NaN abs_err never wins the `>`), so any grouping of
+  /// samples gives the same bits.
+  void count(const Sample& s) {
+    ++samples_;
+    if (s.abs_err != 0.0) ++errors_;
+    if (s.abs_err > max_abs_) max_abs_ = s.abs_err;
+    if (s.has_rel) {
+      ++rel_samples_;
+      if (s.rel > max_rel_) max_rel_ = s.rel;
+    }
+  }
+  /// The order-dependent part: folds n samples' terms into the two
+  /// floating-point sums, in index order, so callers pass samples in sample
+  /// order. Adding a skipped sample's +0.0 is exact, since both sums start
+  /// at +0.0 and only ever add values >= 0 (or NaN), so they never hold
+  /// -0.0.
+  void add_sums(const double* abs_err, const double* rel, std::size_t n) {
+    double sa = sum_abs_, sr = sum_rel_;
+    for (std::size_t i = 0; i < n; ++i) {
+      sa += abs_err[i];
+      sr += rel[i];
+    }
+    sum_abs_ = sa;
+    sum_rel_ = sr;
+  }
+  /// Adds another accumulator's counts and maxima, but not its sums.
+  void merge_counts(const ErrorStats& o) {
+    samples_ += o.samples_;
+    errors_ += o.errors_;
+    rel_samples_ += o.rel_samples_;
+    if (o.max_abs_ > max_abs_) max_abs_ = o.max_abs_;
+    if (o.max_rel_ > max_rel_) max_rel_ = o.max_rel_;
+  }
+
+  void observe(double exact, double approx) {
+    const Sample s = sample(exact, approx);
+    count(s);
+    add_sums(&s.abs_err, &s.rel, 1);
+  }
 
   State state() const {
     return {samples_, errors_, rel_samples_, max_rel_,

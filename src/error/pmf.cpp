@@ -1,6 +1,5 @@
 #include "error/pmf.h"
 
-#include <cmath>
 #include <sstream>
 
 namespace ihw::error {
@@ -16,20 +15,6 @@ ErrorPmf ErrorPmf::from_state(const State& s) {
   p.zero_error_ = s.zero_error;
   if (s.counts.size() == p.counts_.size()) p.counts_ = s.counts;
   return p;
-}
-
-void ErrorPmf::observe_rel_error(double rel) {
-  ++samples_;
-  if (std::isnan(rel)) return;
-  if (rel == 0.0) {
-    ++zero_error_;
-    return;
-  }
-  const double pct = rel * 100.0;
-  int b = static_cast<int>(std::ceil(std::log2(pct)));
-  if (b < min_bucket_) b = min_bucket_;
-  if (b > max_bucket_) b = max_bucket_;
-  ++counts_[static_cast<std::size_t>(b - min_bucket_)];
 }
 
 double ErrorPmf::error_rate() const {

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "ihw/ihw.h"
 #include "qmc/sobol.h"
@@ -39,6 +43,44 @@ TEST(ErrorStats, IgnoresNanPairsAndZeroExact) {
   EXPECT_EQ(s.samples(), 2u);
   EXPECT_DOUBLE_EQ(s.max_rel(), 0.0);
   EXPECT_DOUBLE_EQ(s.wed(), 5.0);
+}
+
+// The characterization driver's split of observe(): sample() + count() per
+// chunk, merge_counts() of the chunks, add_sums() in sample order. It must
+// leave the same bits as observe(), NaN, inf and zero-exact pairs included.
+TEST(ErrorStats, SplitFoldMatchesObserve) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> pairs[] = {
+      {nan, 1.0}, {10.0, 11.0},  {0.0, 5.0},   {1.0, nan}, {inf, inf},
+      {-4.0, -3.0}, {2.0, 2.0},  {1.0, inf},  {inf, 1.0}, {3.0, 2.9},
+      {0.0, 0.0},  {-inf, 7.0}, {1e-300, 1.0}, {5.0, 5.5},
+  };
+  ErrorStats want;
+  for (const auto& [e, a] : pairs) want.observe(e, a);
+  ErrorStats got;
+  constexpr std::size_t kChunk = 4;
+  for (std::size_t c = 0; c < std::size(pairs); c += kChunk) {
+    ErrorStats part;
+    std::vector<double> abs_err, rel;
+    for (std::size_t i = c; i < std::min(std::size(pairs), c + kChunk); ++i) {
+      const auto t = ErrorStats::sample(pairs[i].first, pairs[i].second);
+      part.count(t);
+      abs_err.push_back(t.abs_err);
+      rel.push_back(t.rel);
+    }
+    got.merge_counts(part);
+    got.add_sums(abs_err.data(), rel.data(), abs_err.size());
+  }
+  const auto g = got.state(), w = want.state();
+  EXPECT_EQ(g.samples, w.samples);
+  EXPECT_EQ(g.errors, w.errors);
+  EXPECT_EQ(g.rel_samples, w.rel_samples);
+  for (const auto& [x, y] : {std::pair{g.max_rel, w.max_rel},
+                             {g.sum_rel, w.sum_rel},
+                             {g.sum_abs, w.sum_abs},
+                             {g.max_abs, w.max_abs}})
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x), std::bit_cast<std::uint64_t>(y));
 }
 
 TEST(ErrorPmf, BucketsOnCeilLog2OfPercent) {
@@ -80,6 +122,89 @@ TEST(ErrorPmf, ClampsOutOfRangeBuckets) {
   EXPECT_DOUBLE_EQ(pmf.probability(-4), 0.5);
   EXPECT_DOUBLE_EQ(pmf.probability(4), 0.5);
   EXPECT_EQ(pmf.max_nonzero_bucket(), 4);
+}
+
+// --- ErrorPmf::bucket: the exponent-field fast path must reproduce
+// ceil(log2(pct)) bit for bit, including where std::log2 rounds down to k
+// a few ulps above 2^k.
+
+int log2_bucket(double pct, int lo, int hi) {
+  const double b = std::ceil(std::log2(pct));
+  if (!(b > lo)) return lo;
+  if (b > hi) return hi;
+  return static_cast<int>(b);
+}
+
+TEST(ErrorPmf, BucketMatchesCeilLog2AroundPowersOfTwo) {
+  const ErrorPmf pmf(-64, 64);
+  const auto check = [&](double pct) {
+    ASSERT_EQ(pmf.bucket(pct), log2_bucket(pct, -64, 64)) << std::hexfloat << pct;
+  };
+  for (int k = -30; k <= 10; ++k) {
+    const double p = std::ldexp(1.0, k);
+    EXPECT_EQ(pmf.bucket(p), k);
+    check(std::nextafter(p, 0.0));
+    check(std::nextafter(p, 1e300));
+    for (std::uint64_t j = 1; j <= 64; ++j)
+      check(std::ldexp(1.0 + std::ldexp(static_cast<double>(j), -52), k));
+    for (const std::uint64_t j :
+         {(1ull << 20), (1ull << 31), (1ull << 32) - 1, (1ull << 32),
+          (1ull << 32) + 1, (1ull << 40), (1ull << 52) - 1})
+      check(std::ldexp(1.0 + std::ldexp(static_cast<double>(j), -52), k));
+  }
+  // Every normal exponent, at the edge of the fast path and far above it.
+  const ErrorPmf wide(-1100, 1100);
+  for (std::uint64_t field = 1; field < 0x7ff; ++field)
+    for (const std::uint64_t frac :
+         {0ull, 1ull, (1ull << 32) - 1, (1ull << 32), (1ull << 32) + 1,
+          (1ull << 51), (1ull << 52) - 1}) {
+      const double pct = std::bit_cast<double>((field << 52) | frac);
+      ASSERT_EQ(wide.bucket(pct), log2_bucket(pct, -1100, 1100))
+          << std::hexfloat << pct;
+    }
+}
+
+TEST(ErrorPmf, BucketMatchesCeilLog2AtRandomPercentages) {
+  const ErrorPmf pmf(-64, 64);
+  const ErrorPmf wide(-1100, 1100);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  const auto next = [&] {  // splitmix64
+    std::uint64_t z = (x += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  for (int i = 0; i < 200000; ++i) {
+    const double u = static_cast<double>(next() >> 11) * 0x1.0p-53;
+    const int e = static_cast<int>(next() % 61) - 40;
+    const double pct = std::ldexp(1.0 + u, e);
+    ASSERT_EQ(pmf.bucket(pct), log2_bucket(pct, -64, 64)) << std::hexfloat << pct;
+    // Any positive finite bit pattern, subnormals included.
+    const double raw = std::bit_cast<double>(next() >> 1);
+    if (std::isfinite(raw)) {
+      ASSERT_EQ(wide.bucket(raw), log2_bucket(raw, -1100, 1100))
+          << std::hexfloat << raw;
+    }
+  }
+}
+
+TEST(ErrorPmf, BucketClampsAndSpecialValues) {
+  const ErrorPmf pmf;  // buckets [-24, 8]
+  EXPECT_EQ(pmf.bucket(std::ldexp(1.0, -24)), -24);
+  EXPECT_EQ(pmf.bucket(std::ldexp(1.5, -24)), -23);
+  EXPECT_EQ(pmf.bucket(std::ldexp(1.5, -30)), -24);
+  EXPECT_EQ(pmf.bucket(256.0), 8);
+  EXPECT_EQ(pmf.bucket(257.0), 8);
+  EXPECT_EQ(pmf.bucket(1e300), 8);
+  EXPECT_EQ(pmf.bucket(std::numeric_limits<double>::denorm_min()), -24);
+  EXPECT_EQ(pmf.bucket(0.0), -24);
+  EXPECT_EQ(pmf.bucket(std::numeric_limits<double>::infinity()), 8);
+  EXPECT_EQ(pmf.bucket(std::numeric_limits<double>::quiet_NaN()), -24);
+  // Subnormal percentages, unclamped.
+  const ErrorPmf wide(-1100, 1100);
+  EXPECT_EQ(wide.bucket(std::numeric_limits<double>::denorm_min()), -1074);
+  EXPECT_EQ(wide.bucket(std::ldexp(1.5, -1030)), -1029);
+  EXPECT_EQ(wide.bucket(std::ldexp(1.0, -1030)), -1030);
 }
 
 TEST(ErrorPmf, ToStringListsNonEmptyBuckets) {
@@ -136,7 +261,9 @@ TEST(Characterize, LabelsIncludeParameters) {
 // The per-sample loop the span-level driver must reproduce bit for bit: Sobol
 // point -> operand scatter -> scalar unit call -> ErrorStats::observe /
 // ErrorPmf::observe_rel_error, in ascending sample order. It shares only the
-// Sobol generator, the scalar units and the accumulators with the driver.
+// Sobol generator, the scalar units and the accumulators' per-sample rule
+// (ErrorStats::sample, ErrorPmf::bucket, pinned by the tests above) with the
+// driver, which splits that rule between its producer and its consumer.
 
 // Significand uniform in [1,2) scaled by 2^e, e uniform in [-spread, spread].
 template <typename T>
@@ -224,7 +351,8 @@ const CharRequest kAllUnits[] = {
     {UnitKind::BitTrunc, 11},
 };
 
-// Three driver chunks, the last one partial, so 4 threads reorder real work.
+// Nine driver chunks of 2^14, the last one partial, so 4 threads reorder
+// real work.
 constexpr std::uint64_t kOracleSamples = 140'000;
 
 TEST(CharacterizeOracle, Float32MatchesScalarLoopForEveryUnit) {

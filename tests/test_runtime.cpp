@@ -6,7 +6,9 @@
 #include "apps/runner.h"
 #include "apps/srad.h"
 #include "error/characterize.h"
+#include "fault/spec.h"
 #include "gpu/context.h"
+#include "gpu/epoch.h"
 #include "gpu/simreal.h"
 #include "gpu/simt.h"
 #include "runtime/parallel.h"
@@ -17,6 +19,8 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <stdexcept>
 #include <vector>
 
@@ -77,6 +81,88 @@ TEST(ParallelFor, PropagatesFirstException) {
           },
           4),
       std::runtime_error);
+}
+
+// --- ordered_chunks ----------------------------------------------------------
+
+// Consumes (begin, end) of every chunk in ascending order, whatever the
+// thread count, including n == 0, n below one chunk and a partial last chunk.
+TEST(OrderedChunks, ConsumesEveryChunkInAscendingOrder) {
+  constexpr std::uint64_t kChunk = 8;
+  for (const std::uint64_t n : {0u, 5u, 8u, 37u, 64u}) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+      ordered_chunks<std::pair<std::uint64_t, std::uint64_t>>(
+          n, kChunk,
+          [](std::uint64_t b, std::uint64_t e) { return std::make_pair(b, e); },
+          [&](std::pair<std::uint64_t, std::uint64_t>&& r) {
+            seen.push_back(r);
+          },
+          threads);
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      ASSERT_EQ(seen.size(), (n + kChunk - 1) / kChunk);
+      for (std::size_t c = 0; c < seen.size(); ++c) {
+        EXPECT_EQ(seen[c].first, c * kChunk);
+        EXPECT_EQ(seen[c].second, std::min<std::uint64_t>(n, (c + 1) * kChunk));
+      }
+    }
+  }
+}
+
+// Each chunk runs under its chunk index as epoch label. The fault stream
+// hashes (seed, class, epoch, op index), so faulted multiplies inside a chunk
+// must match the same multiplies run under gpu::run_epoch(c) in a fresh
+// context.
+TEST(OrderedChunks, EpochOfEachChunkIsItsIndex) {
+  IhwConfig cfg = IhwConfig::all_imprecise();
+  cfg.faults[fault::UnitClass::Mul].rate = 0.5;
+  auto body = [](std::uint64_t c) {
+    std::vector<float> v;
+    for (int i = 0; i < 32; ++i)
+      v.push_back((SimFloat(1.5f + static_cast<float>(i)) *
+                   SimFloat(1.25f + static_cast<float>(c)))
+                      .value());
+    return v;
+  };
+  constexpr std::uint64_t kChunks = 11;
+  std::vector<std::vector<float>> want(kChunks);
+  for (std::uint64_t c = 0; c < kChunks; ++c) {
+    FpContext ctx(cfg);
+    ScopedContext scope(ctx);
+    gpu::run_epoch(c, [&] { want[c] = body(c); });
+  }
+  for (int threads = 1; threads <= 4; ++threads) {
+    FpContext ctx(cfg);
+    ScopedContext scope(ctx);
+    std::vector<std::vector<float>> got;
+    ordered_chunks<std::vector<float>>(
+        kChunks, 1, [&](std::uint64_t b, std::uint64_t) { return body(b); },
+        [&](std::vector<float>&& v) { got.push_back(std::move(v)); }, threads);
+    EXPECT_EQ(got, want) << "threads=" << threads;
+  }
+  // Two epochs whose streams coincide would make the check blind.
+  FpContext ctx(cfg);
+  ScopedContext scope(ctx);
+  std::vector<float> epoch0;
+  gpu::run_epoch(0, [&] { epoch0 = body(1); });
+  EXPECT_NE(epoch0, want[1]);
+}
+
+TEST(OrderedChunks, RethrowsProducerExceptionOnCaller) {
+  for (int threads : {1, 4}) {
+    int consumed = 0;
+    EXPECT_THROW(ordered_chunks<int>(
+                     100, 10,
+                     [](std::uint64_t b, std::uint64_t) {
+                       if (b == 30) throw std::runtime_error("boom");
+                       return 0;
+                     },
+                     [&](int&&) { ++consumed; }, threads),
+                 std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_LE(consumed, 3) << "no chunk after the throwing one is consumed";
+  }
 }
 
 TEST(ParallelLaunch, MatchesSerialLaunchOutput) {
