@@ -121,8 +121,8 @@ BENCHMARK(BM_MitchellFixed);
 
 // Block-parallel SIMT throughput: one HotSpot-shaped stencil sweep through
 // the instrumented SimFloat path under the runtime scheduler. Arg = worker
-// count (1 = the exact serial gpu::launch path), so the reported times are a
-// direct serial-vs-parallel speedup measurement for the runtime.
+// count (1 = one inline shard on the calling thread), so the reported times
+// are a direct serial-vs-parallel speedup measurement for the runtime.
 void BM_ParallelStencil(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   constexpr std::size_t kN = 512;

@@ -14,6 +14,7 @@
 #include "common/args.h"
 #include "common/sweep_flags.h"
 #include "common/table.h"
+#include "runtime/parallel.h"
 #include "sweep/fingerprint.h"
 #include "sweep/bench_run.h"
 #include "sweep/sweep.h"

@@ -47,9 +47,11 @@ class FpContext {
   }
 
   /// Epoch labelling + launch-boundary breaker hooks; called by the
-  /// execution runtime (gpu/simt.h serial paths, runtime/parallel.h).
+  /// execution runtime (gpu/epoch.h, from runtime/parallel.h).
+  /// open_epochs() counts the run_epoch bodies running on this context.
   void begin_epoch(std::uint64_t e) { guarded_.begin_epoch(e); }
   void end_launch() { guarded_.end_launch(); }
+  int& open_epochs() { return open_epochs_; }
 
   /// The context active on this thread, or nullptr. Fully inline (the slot
   /// is an `inline static thread_local` member) so a hot-loop lookup is one
@@ -62,6 +64,7 @@ class FpContext {
   inline static thread_local FpContext* tls_current_ = nullptr;
   fault::GuardedDispatch guarded_;
   PerfCounters counters_;
+  int open_epochs_ = 0;
 };
 
 /// RAII installer for the thread-local active context.

@@ -1,10 +1,11 @@
 #pragma once
 // Epoch labelling for the fault/guard subsystem. An *epoch* is the smallest
-// schedule-invariant unit of work -- a block of a launch, one parallel_for
-// element, one ordered_chunks chunk -- identified by its linear index in the
-// launch's own geometry. Both the serial paths (gpu/simt.h) and the sharded
-// paths (runtime/parallel.h) label work through these helpers, which is what
-// makes the counter-based fault stream and the guard's epoch-local breaker
+// schedule-invariant unit of work -- one parallel_for element, which is a
+// block of a parallel_launch or a chunk of a batch_apply, or one
+// ordered_chunks chunk -- identified by its linear index in the region's own
+// geometry. runtime::parallel_for and runtime::ordered_chunks label work
+// through these helpers at any shard count, which is what makes the
+// counter-based fault stream and the guard's epoch-local breaker
 // bit-identical at any --threads=N.
 #include <cstdint>
 
@@ -23,6 +24,11 @@ inline void run_epoch(std::uint64_t index, Body&& body) {
     body();
     return;
   }
+  struct Open {  // the body is open on c until it returns or throws
+    int& depth;
+    explicit Open(int& d) : depth(d) { ++depth; }
+    ~Open() { --depth; }
+  } open(c->open_epochs());
   c->begin_epoch(index);
   body();
   if (c->guarded().retry_epoch_needed()) {
@@ -32,11 +38,15 @@ inline void run_epoch(std::uint64_t index, Body&& body) {
   }
 }
 
-/// Launch epilogue: evaluates the run-level circuit breaker on the calling
-/// thread's context. Idempotent -- parallel wrappers that delegate their
-/// serial path to gpu::launch may invoke it twice without double-counting.
+/// Region epilogue: evaluates the run-level circuit breaker on the calling
+/// thread's context, once the region's shard counters have merged into it.
+/// A region nested in an epoch of the same context leaves it to the
+/// outermost region: at one shard its trips would accumulate on the caller's
+/// context, at several on a shard's clone, and the breaker would open at
+/// different points.
 inline void finish_launch() {
-  if (FpContext* c = FpContext::current()) c->end_launch();
+  FpContext* c = FpContext::current();
+  if (c != nullptr && c->open_epochs() == 0) c->end_launch();
 }
 
 }  // namespace ihw::gpu

@@ -1,15 +1,10 @@
 #pragma once
-// Functional SIMT execution layer: CUDA-like grid/block/thread launches with
-// block-wide barrier phases and per-block shared tiles. Functionally
-// equivalent to GPGPU-Sim's execution of a kernel (same thread IDs, same
-// barrier semantics); timing is modeled separately in timing.h from the
+// SIMT coordinates: CUDA-like grid/block extents and the per-thread view a
+// kernel sees. runtime::parallel_launch (runtime/parallel.h) runs a kernel
+// over a grid with these coordinates -- the same thread IDs GPGPU-Sim's
+// execution gives it; timing is modeled separately in timing.h from the
 // performance counters.
-#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <vector>
-
-#include "gpu/epoch.h"
 
 namespace ihw::gpu {
 
@@ -24,6 +19,7 @@ struct Dim3 {
     return static_cast<std::uint64_t>(x) * y * z;
   }
 };
+static_assert(sizeof(Dim3) == 12);
 
 /// Per-thread coordinates, as a CUDA kernel sees them.
 struct ThreadCtx {
@@ -36,83 +32,5 @@ struct ThreadCtx {
            thread_idx.x;
   }
 };
-
-/// Launches `kernel(ThreadCtx)` over the whole grid. For kernels with no
-/// intra-block data sharing (the common data-parallel map).
-template <typename K>
-void launch(Dim3 grid, Dim3 block, K&& kernel) {
-  ThreadCtx t;
-  t.grid_dim = grid;
-  t.block_dim = block;
-  for (unsigned bz = 0; bz < grid.z; ++bz)
-    for (unsigned by = 0; by < grid.y; ++by)
-      for (unsigned bx = 0; bx < grid.x; ++bx) {
-        t.block_idx = {bx, by, bz};
-        // Epoch = linear block index: the fault/guard label the parallel
-        // runtime reproduces shard-independently (runtime/parallel.h).
-        const std::uint64_t lb =
-            (static_cast<std::uint64_t>(bz) * grid.y + by) * grid.x + bx;
-        run_epoch(lb, [&] {
-          for (unsigned tz = 0; tz < block.z; ++tz)
-            for (unsigned ty = 0; ty < block.y; ++ty)
-              for (unsigned tx = 0; tx < block.x; ++tx) {
-                t.thread_idx = {tx, ty, tz};
-                kernel(t);
-              }
-        });
-      }
-  finish_launch();
-}
-
-/// Block-level execution context for kernels that need __syncthreads():
-/// each call to phase() runs the given body once per thread of the block and
-/// acts as a barrier (phase k completes for every thread before phase k+1
-/// starts), which is exactly the CUDA barrier contract for well-formed
-/// kernels.
-class BlockCtx {
- public:
-  BlockCtx(Dim3 grid, Dim3 block, Dim3 block_idx)
-      : grid_dim_(grid), block_dim_(block), block_idx_(block_idx) {}
-
-  Dim3 grid_dim() const { return grid_dim_; }
-  Dim3 block_dim() const { return block_dim_; }
-  Dim3 block_idx() const { return block_idx_; }
-
-  /// Barrier-delimited phase: body(ThreadCtx) runs for every thread.
-  template <typename G>
-  void phase(G&& body) const {
-    ThreadCtx t;
-    t.grid_dim = grid_dim_;
-    t.block_dim = block_dim_;
-    t.block_idx = block_idx_;
-    for (unsigned tz = 0; tz < block_dim_.z; ++tz)
-      for (unsigned ty = 0; ty < block_dim_.y; ++ty)
-        for (unsigned tx = 0; tx < block_dim_.x; ++tx) {
-          t.thread_idx = {tx, ty, tz};
-          body(t);
-        }
-  }
-
- private:
-  Dim3 grid_dim_, block_dim_, block_idx_;
-};
-
-/// Launches a cooperative kernel: `kernel(BlockCtx&)` runs once per block and
-/// structures its work as barrier-delimited phases. Shared-memory tiles are
-/// ordinary stack/vector storage scoped to the kernel body.
-template <typename K>
-void launch_blocks(Dim3 grid, Dim3 block, K&& kernel) {
-  for (unsigned bz = 0; bz < grid.z; ++bz)
-    for (unsigned by = 0; by < grid.y; ++by)
-      for (unsigned bx = 0; bx < grid.x; ++bx) {
-        const std::uint64_t lb =
-            (static_cast<std::uint64_t>(bz) * grid.y + by) * grid.x + bx;
-        run_epoch(lb, [&] {
-          BlockCtx ctx(grid, block, Dim3{bx, by, bz});
-          kernel(ctx);
-        });
-      }
-  finish_launch();
-}
 
 }  // namespace ihw::gpu

@@ -61,13 +61,8 @@ std::vector<std::exception_ptr> parallel_tasks_capture(
       errors[i] = std::current_exception();
     }
   };
-  const int shards = detail::resolve_shards(threads, n);
-  if (shards <= 1) {
-    for (std::size_t i = 0; i < n; ++i) captured(i);
-    return errors;
-  }
   std::atomic<std::size_t> next{0};
-  detail::run_sharded(shards, [&](int) {
+  detail::run_sharded(detail::resolve_shards(threads, n), [&](int) {
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed))
       captured(i);

@@ -1,27 +1,31 @@
 #pragma once
-// Block-granular parallel execution runtime. Mirrors the serial SIMT entry
-// points of gpu/simt.h (launch / launch_blocks) plus a flat parallel_for for
-// the QMC sampling sweeps, scheduling work across the shared ThreadPool.
+// Block-granular parallel execution runtime: SIMT grid launches
+// (parallel_launch), flat element loops (parallel_for), the batched SoA
+// chunk driver (batch_apply) and the ordered QMC reduction (ordered_chunks),
+// scheduled across the shared ThreadPool.
 //
 // Determinism contract: results and merged performance counters are
-// bit-identical to the serial path regardless of thread count.
-//  - Blocks are independent under the CUDA barrier contract simt.h already
-//    documents (no cross-block data flow within one launch), so executing
-//    them concurrently cannot change any output value.
+// bit-identical at any thread count. The rule lives in two places:
+// parallel_for (which parallel_launch and batch_apply run through) and
+// ordered_chunks label work, and detail::run_sharded shards it.
+//  - Work items are independent (no cross-block data flow within one
+//    launch, disjoint writes per element or chunk), so executing them
+//    concurrently cannot change any output value.
 //  - Imprecise dispatch keeps working off-main-thread: every shard runs
 //    under its own thread-local gpu::FpContext cloned from the caller's
 //    active IhwConfig (and open circuit breakers), and the per-shard
 //    PerfCounters and fault::FaultCounters are merged into the caller's
 //    context with operator+= in ascending shard order -- never in
-//    completion order -- once the launch has drained.
+//    completion order -- once the region has drained.
 //  - Fault injection and the guard stay deterministic under sharding: every
 //    unit of work is labelled with its schedule-invariant epoch (linear
 //    block / element / chunk index) via gpu::run_epoch, the counter-based
 //    fault stream hashes (seed, class, epoch, op index), and the run-level
-//    breaker advances only at launch boundaries (gpu::finish_launch) where
+//    breaker advances only at region boundaries (gpu::finish_launch) where
 //    serial and sharded executions agree on the merged trip counts.
-//  - `threads == 1` bypasses the pool entirely and runs the exact serial
-//    code path of gpu/simt.h.
+//  - One shard (`threads == 1`, or at most one work item) and any region
+//    nested inside a shard run inline on the calling thread, in index
+//    order, under the caller's context.
 #include <algorithm>
 #include <cstdint>
 #include <exception>
@@ -103,9 +107,10 @@ inline std::pair<std::uint64_t, std::uint64_t> shard_range(std::uint64_t n,
 /// shard executes under a fresh FpContext cloned from the caller's config,
 /// and shard counters merge into the caller's context in shard order after
 /// every shard has finished. The first exception thrown by any shard is
-/// rethrown on the calling thread. Nested calls (a shard spawning a parallel
-/// region) degrade to inline serial execution rather than deadlocking the
-/// pool.
+/// rethrown on the calling thread. A single shard, and every call nested in
+/// a shard (a shard spawning a parallel region), runs inline on the calling
+/// thread in shard order under the caller's context -- the serial path of
+/// every entry point, and no pool deadlock.
 void run_sharded(int shards, const std::function<void(int)>& body);
 
 inline gpu::Dim3 delinearize_block(const gpu::Dim3& grid, std::uint64_t lb) {
@@ -117,73 +122,15 @@ inline gpu::Dim3 delinearize_block(const gpu::Dim3& grid, std::uint64_t lb) {
 
 }  // namespace detail
 
-/// Parallel mirror of gpu::launch: kernel(ThreadCtx) over the whole grid,
-/// scheduled block-granularly over `threads` workers (0 = default).
-template <typename K>
-void parallel_launch(gpu::Dim3 grid, gpu::Dim3 block, K&& kernel,
-                     int threads = 0) {
-  const std::uint64_t nblocks = grid.count();
-  const int shards = detail::resolve_shards(threads, nblocks);
-  if (shards <= 1) {
-    gpu::launch(grid, block, std::forward<K>(kernel));  // exact serial path
-    return;
-  }
-  detail::run_sharded(shards, [&](int s) {
-    const auto [b0, b1] = detail::shard_range(nblocks, shards, s);
-    gpu::ThreadCtx t;
-    t.grid_dim = grid;
-    t.block_dim = block;
-    for (std::uint64_t lb = b0; lb < b1; ++lb) {
-      t.block_idx = detail::delinearize_block(grid, lb);
-      gpu::run_epoch(lb, [&] {
-        for (unsigned tz = 0; tz < block.z; ++tz)
-          for (unsigned ty = 0; ty < block.y; ++ty)
-            for (unsigned tx = 0; tx < block.x; ++tx) {
-              t.thread_idx = {tx, ty, tz};
-              kernel(t);
-            }
-      });
-    }
-  });
-  gpu::finish_launch();
-}
-
-/// Parallel mirror of gpu::launch_blocks: kernel(BlockCtx&) once per block,
-/// barrier phases inside a block stay sequential on one worker.
-template <typename K>
-void parallel_launch_blocks(gpu::Dim3 grid, gpu::Dim3 block, K&& kernel,
-                            int threads = 0) {
-  const std::uint64_t nblocks = grid.count();
-  const int shards = detail::resolve_shards(threads, nblocks);
-  if (shards <= 1) {
-    gpu::launch_blocks(grid, block, std::forward<K>(kernel));
-    return;
-  }
-  detail::run_sharded(shards, [&](int s) {
-    const auto [b0, b1] = detail::shard_range(nblocks, shards, s);
-    for (std::uint64_t lb = b0; lb < b1; ++lb) {
-      gpu::run_epoch(lb, [&] {
-        gpu::BlockCtx ctx(grid, block, detail::delinearize_block(grid, lb));
-        kernel(ctx);
-      });
-    }
-  });
-  gpu::finish_launch();
-}
-
 /// Flat data-parallel loop: body(i) for i in [0, n), contiguous index ranges
-/// per worker. Iterations must be independent (disjoint writes) for the
-/// determinism contract to hold -- exactly the block-independence rule, at
-/// element granularity.
+/// per worker, each index under its epoch label i. This is the one loop
+/// that shards work and labels epochs; parallel_launch and batch_apply run
+/// through it. Iterations must be independent (disjoint writes) for the
+/// determinism contract to hold -- the block-independence rule, at element
+/// granularity.
 template <typename Body>
 void parallel_for(std::uint64_t n, Body&& body, int threads = 0) {
   const int shards = detail::resolve_shards(threads, n);
-  if (shards <= 1) {
-    for (std::uint64_t i = 0; i < n; ++i)
-      gpu::run_epoch(i, [&] { body(i); });
-    gpu::finish_launch();
-    return;
-  }
   detail::run_sharded(shards, [&](int s) {
     const auto [i0, i1] = detail::shard_range(n, shards, s);
     for (std::uint64_t i = i0; i < i1; ++i)
@@ -192,10 +139,32 @@ void parallel_for(std::uint64_t n, Body&& body, int threads = 0) {
   gpu::finish_launch();
 }
 
-/// Chunked driver for the batched SoA path (gpu/batch.h): splits [0, n)
-/// into fixed-size chunks, labels each chunk with its schedule-invariant
-/// epoch (the chunk index), and runs body(begin, end) -- which is expected
-/// to issue span-level batch_* calls over [begin, end) -- across the pool.
+/// kernel(ThreadCtx) for every thread of the grid, as a CUDA launch: a
+/// parallel_for over linear block indices (epoch = linear block index), the
+/// threads of one block in x-fastest order on one worker.
+template <typename K>
+void parallel_launch(gpu::Dim3 grid, gpu::Dim3 block, K&& kernel,
+                     int threads = 0) {
+  parallel_for(
+      grid.count(),
+      [&](std::uint64_t lb) {
+        gpu::ThreadCtx t;
+        t.grid_dim = grid;
+        t.block_dim = block;
+        t.block_idx = detail::delinearize_block(grid, lb);
+        for (unsigned tz = 0; tz < block.z; ++tz)
+          for (unsigned ty = 0; ty < block.y; ++ty)
+            for (unsigned tx = 0; tx < block.x; ++tx) {
+              t.thread_idx = {tx, ty, tz};
+              kernel(t);
+            }
+      },
+      threads);
+}
+
+/// Chunked driver for the batched SoA path (gpu/batch.h): a parallel_for
+/// over the fixed-size chunks of [0, n) (epoch = chunk index) running
+/// body(begin, end), which is expected to issue span-level batch_* calls.
 /// The chunk decomposition depends only on `chunk`, never on the thread
 /// count, so epoch labels (and with them the fault stream and guard/breaker
 /// decisions) are identical at any --threads=N. Chunks must write disjoint
@@ -204,22 +173,10 @@ template <typename Body>
 void batch_apply(std::uint64_t n, std::uint64_t chunk, Body&& body,
                  int threads = 0) {
   if (chunk == 0) chunk = 1;
-  const std::uint64_t nchunks = (n + chunk - 1) / chunk;
-  const int shards = detail::resolve_shards(threads, nchunks);
-  if (shards <= 1) {
-    for (std::uint64_t c = 0; c < nchunks; ++c)
-      gpu::run_epoch(c,
-                     [&] { body(c * chunk, std::min(n, (c + 1) * chunk)); });
-    gpu::finish_launch();
-    return;
-  }
-  detail::run_sharded(shards, [&](int s) {
-    const auto [c0, c1] = detail::shard_range(nchunks, shards, s);
-    for (std::uint64_t c = c0; c < c1; ++c)
-      gpu::run_epoch(c,
-                     [&] { body(c * chunk, std::min(n, (c + 1) * chunk)); });
-  });
-  gpu::finish_launch();
+  parallel_for(
+      (n + chunk - 1) / chunk,
+      [&](std::uint64_t c) { body(c * chunk, std::min(n, (c + 1) * chunk)); },
+      threads);
 }
 
 /// Deterministic ordered reduction for stateful consumers (the QMC error
@@ -235,16 +192,6 @@ void ordered_chunks(std::uint64_t n, std::uint64_t chunk, Produce&& produce,
   if (chunk == 0) chunk = 1;
   const std::uint64_t nchunks = (n + chunk - 1) / chunk;
   const int shards = detail::resolve_shards(threads, nchunks);
-  if (shards <= 1) {
-    for (std::uint64_t c = 0; c < nchunks; ++c) {
-      T item{};
-      gpu::run_epoch(
-          c, [&] { item = produce(c * chunk, std::min(n, (c + 1) * chunk)); });
-      consume(std::move(item));
-    }
-    gpu::finish_launch();
-    return;
-  }
   std::vector<T> wave(static_cast<std::size_t>(shards));
   for (std::uint64_t c0 = 0; c0 < nchunks; c0 += static_cast<std::uint64_t>(shards)) {
     const int live = static_cast<int>(

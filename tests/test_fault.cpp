@@ -20,12 +20,11 @@
 #include "gpu/simreal.h"
 #include "quality/grid_metrics.h"
 #include "quality/tuner.h"
+#include "runtime/parallel.h"
 
 namespace ihw::fault {
 namespace {
 
-using apps::run_guarded_parallel;
-using apps::run_with_config_parallel;
 using gpu::SimFloat;
 
 // --- injector ---------------------------------------------------------------
@@ -308,7 +307,8 @@ HotspotRun run_hotspot_under(const IhwConfig& cfg, int threads) {
   p.steady_init = false;
   const auto input = make_hotspot_input(p, 7);
   HotspotRun r;
-  const auto gr = run_guarded_parallel(cfg, threads, [&] {
+  runtime::ScopedThreads pin(threads);
+  const auto gr = apps::run_guarded(cfg, [&] {
     r.out = apps::run_hotspot<SimFloat>(p, input);
   });
   r.faults = gr.faults;
@@ -406,14 +406,15 @@ TEST(TunerUnderFaults, BacksOffFaultedClassToMeetConstraint) {
   p.steady_init = false;
   const auto input = make_hotspot_input(p, 7);
 
+  runtime::ScopedThreads serial(1);
   common::GridF precise_out;
-  run_with_config_parallel(IhwConfig::precise(), 1, [&] {
+  apps::run_with_config(IhwConfig::precise(), [&] {
     precise_out = apps::run_hotspot<SimFloat>(p, input);
   });
 
   quality::QualityEval eval = [&](const IhwConfig& c) {
     common::GridF out;
-    run_with_config_parallel(c, 1, [&] {
+    apps::run_with_config(c, [&] {
       out = apps::run_hotspot<SimFloat>(p, input);
     });
     return -quality::mae(precise_out, out);  // higher is better

@@ -1,6 +1,5 @@
 // Tests for the SIMT functional simulator: contexts, counters, the SimReal
-// instrumented scalar, launches/barrier phases, timing, and the power
-// breakdown model.
+// instrumented scalar, grid launches, timing, and the power breakdown model.
 #include "common/image.h"
 #include "gpu/context.h"
 #include "gpu/counters.h"
@@ -9,6 +8,7 @@
 #include "gpu/simt.h"
 #include "gpu/timing.h"
 #include "gpu/wattch.h"
+#include "runtime/parallel.h"
 
 #include <gtest/gtest.h>
 
@@ -165,36 +165,30 @@ TEST(MemoryTracking, GloadGstoreCountAccessesAndAddressMath) {
   EXPECT_EQ(ctx.counters()[OpClass::IAdd], 5u);  // 2 from gload/gstore + 3
 }
 
+// A grid runs through the pool's launcher, at one inline shard and at four.
 TEST(Simt, LaunchVisitsEveryThreadExactlyOnce) {
-  common::Grid<int> visits(8, 10, 0);
-  launch(Dim3(5, 2), Dim3(2, 4), [&](const ThreadCtx& t) {
-    visits(t.global_y(), t.global_x())++;
-  });
-  for (int v : visits) EXPECT_EQ(v, 1);
+  for (int threads : {1, 4}) {
+    common::Grid<int> visits(8, 10, 0);
+    runtime::parallel_launch(
+        Dim3(5, 2), Dim3(2, 4),
+        [&](const ThreadCtx& t) { visits(t.global_y(), t.global_x())++; },
+        threads);
+    for (int v : visits) EXPECT_EQ(v, 1) << "threads=" << threads;
+  }
 }
 
 TEST(Simt, ThreadCoordinatesConsistent) {
-  launch(Dim3(3, 2), Dim3(4, 4), [&](const ThreadCtx& t) {
-    ASSERT_LT(t.thread_idx.x, t.block_dim.x);
-    ASSERT_LT(t.block_idx.x, t.grid_dim.x);
-    ASSERT_EQ(t.global_x(), t.block_idx.x * 4 + t.thread_idx.x);
-    ASSERT_LT(t.linear_tid(), t.block_dim.count());
-  });
-}
-
-TEST(Simt, BlockPhasesActAsBarriers) {
-  // Phase 1 fills a shared tile; phase 2 reads neighbours: with barrier
-  // semantics every read sees phase-1 data.
-  launch_blocks(Dim3(2), Dim3(16), [&](const BlockCtx& blk) {
-    std::vector<int> tile(16, -1);
-    blk.phase([&](const ThreadCtx& t) {
-      tile[t.thread_idx.x] = static_cast<int>(t.thread_idx.x);
-    });
-    blk.phase([&](const ThreadCtx& t) {
-      const unsigned left = t.thread_idx.x == 0 ? 15u : t.thread_idx.x - 1;
-      ASSERT_EQ(tile[left], static_cast<int>(left));
-    });
-  });
+  for (int threads : {1, 4}) {
+    runtime::parallel_launch(
+        Dim3(3, 2), Dim3(4, 4),
+        [&](const ThreadCtx& t) {
+          ASSERT_LT(t.thread_idx.x, t.block_dim.x);
+          ASSERT_LT(t.block_idx.x, t.grid_dim.x);
+          ASSERT_EQ(t.global_x(), t.block_idx.x * 4 + t.thread_idx.x);
+          ASSERT_LT(t.linear_tid(), t.block_dim.count());
+        },
+        threads);
+  }
 }
 
 TEST(Timing, RooflineSelectsBusiestResource) {

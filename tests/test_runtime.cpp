@@ -27,7 +27,6 @@
 namespace ihw::runtime {
 namespace {
 
-using apps::run_with_config_parallel;
 using gpu::Dim3;
 using gpu::FpContext;
 using gpu::OpClass;
@@ -110,45 +109,6 @@ TEST(OrderedChunks, ConsumesEveryChunkInAscendingOrder) {
   }
 }
 
-// Each chunk runs under its chunk index as epoch label. The fault stream
-// hashes (seed, class, epoch, op index), so faulted multiplies inside a chunk
-// must match the same multiplies run under gpu::run_epoch(c) in a fresh
-// context.
-TEST(OrderedChunks, EpochOfEachChunkIsItsIndex) {
-  IhwConfig cfg = IhwConfig::all_imprecise();
-  cfg.faults[fault::UnitClass::Mul].rate = 0.5;
-  auto body = [](std::uint64_t c) {
-    std::vector<float> v;
-    for (int i = 0; i < 32; ++i)
-      v.push_back((SimFloat(1.5f + static_cast<float>(i)) *
-                   SimFloat(1.25f + static_cast<float>(c)))
-                      .value());
-    return v;
-  };
-  constexpr std::uint64_t kChunks = 11;
-  std::vector<std::vector<float>> want(kChunks);
-  for (std::uint64_t c = 0; c < kChunks; ++c) {
-    FpContext ctx(cfg);
-    ScopedContext scope(ctx);
-    gpu::run_epoch(c, [&] { want[c] = body(c); });
-  }
-  for (int threads = 1; threads <= 4; ++threads) {
-    FpContext ctx(cfg);
-    ScopedContext scope(ctx);
-    std::vector<std::vector<float>> got;
-    ordered_chunks<std::vector<float>>(
-        kChunks, 1, [&](std::uint64_t b, std::uint64_t) { return body(b); },
-        [&](std::vector<float>&& v) { got.push_back(std::move(v)); }, threads);
-    EXPECT_EQ(got, want) << "threads=" << threads;
-  }
-  // Two epochs whose streams coincide would make the check blind.
-  FpContext ctx(cfg);
-  ScopedContext scope(ctx);
-  std::vector<float> epoch0;
-  gpu::run_epoch(0, [&] { epoch0 = body(1); });
-  EXPECT_NE(epoch0, want[1]);
-}
-
 TEST(OrderedChunks, RethrowsProducerExceptionOnCaller) {
   for (int threads : {1, 4}) {
     int consumed = 0;
@@ -165,43 +125,143 @@ TEST(OrderedChunks, RethrowsProducerExceptionOnCaller) {
   }
 }
 
-TEST(ParallelLaunch, MatchesSerialLaunchOutput) {
-  const Dim3 grid(7, 5, 2), block(4, 3, 2);
-  const std::uint64_t cells = grid.count() * block.count();
-  std::vector<std::uint64_t> serial(cells, 0), par(cells, 0);
+// --- epoch labels ------------------------------------------------------------
 
-  auto body = [&](std::vector<std::uint64_t>& out) {
-    return [&out, grid, block](const gpu::ThreadCtx& t) {
-      const std::uint64_t b =
-          (t.block_idx.z * grid.y + t.block_idx.y) * grid.x + t.block_idx.x;
-      out[b * block.count() + t.linear_tid()] = b * 1000 + t.linear_tid();
-    };
-  };
-  gpu::launch(grid, block, body(serial));
-  for (int threads : {1, 2, 8}) {
-    std::fill(par.begin(), par.end(), 0);
-    parallel_launch(grid, block, body(par), threads);
-    EXPECT_EQ(serial, par) << "threads=" << threads;
+// Every work item runs under its schedule-invariant epoch label. The fault
+// stream hashes (seed, class, epoch, op index), so under a 0.5 Mul fault rate
+// the multiplies of work item k pin the label they ran under: they must match
+// the same multiplies run under gpu::run_epoch(k) in a fresh context.
+
+IhwConfig half_faulted_mul() {
+  IhwConfig cfg = IhwConfig::all_imprecise();
+  cfg.faults[fault::UnitClass::Mul].rate = 0.5;
+  return cfg;
+}
+
+constexpr int kItemOps = 32;
+constexpr std::uint64_t kItems = 11;
+
+// Multiply i of work item k.
+float item_mul(std::uint64_t k, int i) {
+  return (SimFloat(1.5f + static_cast<float>(i)) *
+          SimFloat(1.25f + static_cast<float>(k)))
+      .value();
+}
+
+std::vector<float> item_muls(std::uint64_t k) {
+  std::vector<float> v;
+  for (int i = 0; i < kItemOps; ++i) v.push_back(item_mul(k, i));
+  return v;
+}
+
+// item_muls(k) for k in [0, n), each under gpu::run_epoch(k) in a fresh
+// context.
+std::vector<std::vector<float>> muls_by_epoch(std::uint64_t n) {
+  std::vector<std::vector<float>> want(n);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    FpContext ctx(half_faulted_mul());
+    ScopedContext scope(ctx);
+    gpu::run_epoch(k, [&] { want[k] = item_muls(k); });
+  }
+  // Two epochs whose streams coincide would make the check blind.
+  FpContext ctx(half_faulted_mul());
+  ScopedContext scope(ctx);
+  std::vector<float> epoch0;
+  gpu::run_epoch(0, [&] { epoch0 = item_muls(1); });
+  EXPECT_NE(epoch0, want[1]);
+  return want;
+}
+
+TEST(ParallelFor, EpochOfEachIndexIsTheIndex) {
+  const auto want = muls_by_epoch(kItems);
+  for (int threads = 1; threads <= 4; ++threads) {
+    FpContext ctx(half_faulted_mul());
+    ScopedContext scope(ctx);
+    std::vector<std::vector<float>> got(kItems);
+    parallel_for(
+        kItems, [&](std::uint64_t k) { got[k] = item_muls(k); }, threads);
+    EXPECT_EQ(got, want) << "threads=" << threads;
   }
 }
 
-TEST(ParallelLaunchBlocks, BarrierPhasesStaySequentialPerBlock) {
-  const Dim3 grid(6, 4), block(8, 8);
-  std::vector<int> phase1(grid.count() * block.count(), 0);
-  parallel_launch_blocks(
-      grid, block,
-      [&](const gpu::BlockCtx& blk) {
-        const std::uint64_t b =
-            blk.block_idx().y * blk.grid_dim().x + blk.block_idx().x;
-        int seen = 0;
-        blk.phase([&](const gpu::ThreadCtx&) { ++seen; });
-        // Barrier contract: phase 1 saw the whole block before phase 2 runs.
-        blk.phase([&](const gpu::ThreadCtx& t) {
-          phase1[b * block.count() + t.linear_tid()] = seen;
-        });
-      },
-      4);
-  for (int s : phase1) ASSERT_EQ(s, static_cast<int>(block.count()));
+TEST(BatchApply, EpochOfEachChunkIsItsIndex) {
+  constexpr std::uint64_t kChunk = 3;
+  const auto want = muls_by_epoch(kItems);
+  for (int threads = 1; threads <= 4; ++threads) {
+    FpContext ctx(half_faulted_mul());
+    ScopedContext scope(ctx);
+    std::vector<std::vector<float>> got(kItems);
+    // A partial last chunk: kItems chunks all the same.
+    batch_apply(
+        kItems * kChunk - 1, kChunk,
+        [&](std::uint64_t b, std::uint64_t) {
+          got[b / kChunk] = item_muls(b / kChunk);
+        },
+        threads);
+    EXPECT_EQ(got, want) << "threads=" << threads;
+  }
+}
+
+// Thread t of block b issues multiplies [8t, 8t + 8) of work item b, so the
+// threads of one block, run in x-fastest order, issue item_muls(b) in order.
+TEST(ParallelLaunch, EpochOfEachBlockIsItsLinearIndex) {
+  const Dim3 grid(3, 2, 2), block(2, 2);
+  constexpr int kPerThread = kItemOps / 4;
+  const auto want = muls_by_epoch(grid.count());
+  for (int threads = 1; threads <= 4; ++threads) {
+    FpContext ctx(half_faulted_mul());
+    ScopedContext scope(ctx);
+    std::vector<std::vector<float>> got(grid.count(),
+                                        std::vector<float>(kItemOps));
+    parallel_launch(
+        grid, block,
+        [&](const gpu::ThreadCtx& t) {
+          const std::uint64_t b =
+              (t.block_idx.z * grid.y + t.block_idx.y) * grid.x +
+              t.block_idx.x;
+          for (int i = 0; i < kPerThread; ++i) {
+            const int op = static_cast<int>(t.linear_tid()) * kPerThread + i;
+            got[b][static_cast<std::size_t>(op)] = item_mul(b, op);
+          }
+        },
+        threads);
+    EXPECT_EQ(got, want) << "threads=" << threads;
+  }
+}
+
+TEST(OrderedChunks, EpochOfEachChunkIsItsIndex) {
+  const auto want = muls_by_epoch(kItems);
+  for (int threads = 1; threads <= 4; ++threads) {
+    FpContext ctx(half_faulted_mul());
+    ScopedContext scope(ctx);
+    std::vector<std::vector<float>> got;
+    ordered_chunks<std::vector<float>>(
+        kItems, 1, [&](std::uint64_t b, std::uint64_t) { return item_muls(b); },
+        [&](std::vector<float>&& v) { got.push_back(std::move(v)); }, threads);
+    EXPECT_EQ(got, want) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelLaunch, MatchesSerialLaunchOutput) {
+  const Dim3 grid(7, 5, 2), block(4, 3, 2);
+  const std::uint64_t cells = grid.count() * block.count();
+  std::vector<std::uint64_t> want(cells);
+  for (std::uint64_t b = 0; b < grid.count(); ++b)
+    for (std::uint64_t tid = 0; tid < block.count(); ++tid)
+      want[b * block.count() + tid] = b * 1000 + tid;
+  for (int threads : {1, 2, 8}) {
+    std::vector<std::uint64_t> par(cells, 0);
+    parallel_launch(
+        grid, block,
+        [&](const gpu::ThreadCtx& t) {
+          const std::uint64_t b =
+              (t.block_idx.z * grid.y + t.block_idx.y) * grid.x +
+              t.block_idx.x;
+          par[b * block.count() + t.linear_tid()] = b * 1000 + t.linear_tid();
+        },
+        threads);
+    EXPECT_EQ(want, par) << "threads=" << threads;
+  }
 }
 
 // Sharded counters merged in worker order must equal a single context
@@ -246,13 +306,18 @@ TEST(Determinism, HotspotBitIdenticalAcrossThreadCounts) {
   const auto cfg = IhwConfig::all_imprecise();
 
   common::GridF ref;
-  PerfCounters ref_counters = run_with_config_parallel(cfg, 1, [&] {
-    ref = apps::run_hotspot<SimFloat>(p, input);
-  });
+  PerfCounters ref_counters;
+  {
+    ScopedThreads serial(1);
+    ref_counters = apps::run_with_config(cfg, [&] {
+      ref = apps::run_hotspot<SimFloat>(p, input);
+    });
+  }
 
   for (int threads : {2, 8}) {
+    ScopedThreads pin(threads);
     common::GridF out;
-    PerfCounters c = run_with_config_parallel(cfg, threads, [&] {
+    PerfCounters c = apps::run_with_config(cfg, [&] {
       out = apps::run_hotspot<SimFloat>(p, input);
     });
     EXPECT_TRUE(bit_identical(ref, out)) << "threads=" << threads;
@@ -275,16 +340,21 @@ TEST(Determinism, FaultedHotspotBitIdenticalAcrossThreadCounts) {
   cfg.guard.enabled = true;
 
   common::GridF ref;
-  const auto ref_run = apps::run_guarded_parallel(cfg, 1, [&] {
-    ref = apps::run_hotspot<SimFloat>(p, input);
-  });
+  apps::GuardedRunResult ref_run;
+  {
+    ScopedThreads serial(1);
+    ref_run = apps::run_guarded(cfg, [&] {
+      ref = apps::run_hotspot<SimFloat>(p, input);
+    });
+  }
   // The faulted config actually exercises the injector and the guard.
   EXPECT_GT(ref_run.faults.total_injected(), 0u);
   EXPECT_GT(ref_run.faults.total_trips(), 0u);
 
   for (int threads : {2, 8}) {
+    ScopedThreads pin(threads);
     common::GridF out;
-    const auto run = apps::run_guarded_parallel(cfg, threads, [&] {
+    const auto run = apps::run_guarded(cfg, [&] {
       out = apps::run_hotspot<SimFloat>(p, input);
     });
     EXPECT_TRUE(bit_identical(ref, out)) << "threads=" << threads;
@@ -310,13 +380,18 @@ TEST(Determinism, SradBitIdenticalAcrossThreadCounts) {
   const auto cfg = IhwConfig::all_imprecise();
 
   common::GridF ref;
-  PerfCounters ref_counters = run_with_config_parallel(cfg, 1, [&] {
-    ref = apps::run_srad<SimFloat>(p, input.image);
-  });
+  PerfCounters ref_counters;
+  {
+    ScopedThreads serial(1);
+    ref_counters = apps::run_with_config(cfg, [&] {
+      ref = apps::run_srad<SimFloat>(p, input.image);
+    });
+  }
 
   for (int threads : {2, 8}) {
+    ScopedThreads pin(threads);
     common::GridF out;
-    PerfCounters c = run_with_config_parallel(cfg, threads, [&] {
+    PerfCounters c = apps::run_with_config(cfg, [&] {
       out = apps::run_srad<SimFloat>(p, input.image);
     });
     EXPECT_TRUE(bit_identical(ref, out)) << "threads=" << threads;
@@ -341,6 +416,113 @@ TEST(Determinism, CharacterizationSweepThreadInvariant) {
     EXPECT_EQ(ref.pmf.error_rate(), out.pmf.error_rate());
     for (int b = ref.pmf.min_bucket(); b <= ref.pmf.max_bucket(); ++b)
       ASSERT_EQ(ref.pmf.probability(b), out.pmf.probability(b)) << "bucket " << b;
+  }
+}
+
+// --- nested regions ----------------------------------------------------------
+
+// Every entry point once, for outer work item k, at the default worker
+// count; returns what the regions wrote, in index order.
+std::vector<float> every_entry_point(std::uint64_t k) {
+  constexpr std::uint64_t kN = 24;
+  std::vector<float> out(4 * kN);
+  parallel_for(kN, [&](std::uint64_t i) {
+    out[i] = item_mul(k, static_cast<int>(i));
+  });
+  batch_apply(kN, 5, [&](std::uint64_t b, std::uint64_t e) {
+    for (std::uint64_t i = b; i < e; ++i)
+      out[kN + i] = item_mul(k + 1, static_cast<int>(i));
+  });
+  parallel_launch(Dim3(3, 2), Dim3(4), [&](const gpu::ThreadCtx& t) {
+    const std::uint64_t i =
+        (t.block_idx.y * 3 + t.block_idx.x) * 4 + t.thread_idx.x;
+    out[2 * kN + i] = item_mul(k + 2, static_cast<int>(i));
+  });
+  std::uint64_t next = 3 * kN;
+  ordered_chunks<std::vector<float>>(
+      kN, 5,
+      [&](std::uint64_t b, std::uint64_t e) {
+        std::vector<float> v;
+        for (std::uint64_t i = b; i < e; ++i)
+          v.push_back(item_mul(k + 3, static_cast<int>(i)));
+        return v;
+      },
+      [&](std::vector<float>&& v) {
+        for (float x : v) out[next++] = x;
+      });
+  return out;
+}
+
+bool same_bits(const std::vector<std::vector<float>>& a,
+               const std::vector<std::vector<float>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(), a[i].size() * sizeof(float)))
+      return false;
+  return true;
+}
+
+void expect_same_run(const apps::GuardedRunResult& a,
+                     const apps::GuardedRunResult& b) {
+  EXPECT_EQ(a.perf.counts, b.perf.counts);
+  EXPECT_EQ(a.faults.injected, b.faults.injected);
+  EXPECT_EQ(a.faults.guard_trips, b.faults.guard_trips);
+  EXPECT_EQ(a.faults.degraded_epochs, b.faults.degraded_epochs);
+  EXPECT_EQ(a.faults.run_degradations, b.faults.run_degradations);
+  EXPECT_EQ(a.faults.retried_epochs, b.faults.retried_epochs);
+  EXPECT_EQ(a.faults.nonfinite_flags, b.faults.nonfinite_flags);
+}
+
+// A region nested in a parallel_tasks_capture task or in a parallel_for body
+// runs inline on its shard, in index order (detail::run_sharded). Under a
+// faulted, guarded config every entry point called there gives the outputs,
+// PerfCounters and FaultCounters of the --threads=1 run. The run trip limit
+// is low enough that the run-level breaker opens: a nested region must not
+// open it early on the caller's context at one shard (gpu::finish_launch).
+TEST(Nesting, RegionsInsideTasksAndParallelForMatchSerial) {
+  IhwConfig cfg = half_faulted_mul();
+  cfg.guard.enabled = true;
+  cfg.guard.run_trip_limit = 16;
+  constexpr std::size_t kOuter = 6;
+  struct Run {
+    std::vector<std::vector<float>> task_out, for_out;
+    std::vector<apps::GuardedRunResult> task_runs;
+    apps::GuardedRunResult for_run;
+  };
+  auto run = [&](int threads) {
+    ScopedThreads pin(threads);
+    Run r;
+    r.task_out.resize(kOuter);
+    r.task_runs.resize(kOuter);
+    r.for_out.resize(kOuter);
+    const auto errors = parallel_tasks_capture(kOuter, [&](std::size_t k) {
+      r.task_runs[k] = apps::run_guarded(
+          cfg, [&] { r.task_out[k] = every_entry_point(k); });
+    });
+    for (const auto& e : errors) EXPECT_FALSE(e);
+    r.for_run = apps::run_guarded(cfg, [&] {
+      parallel_for(kOuter, [&](std::uint64_t k) {
+        r.for_out[k] = every_entry_point(k);
+      });
+    });
+    return r;
+  };
+
+  const Run ref = run(1);
+  // The config actually exercises the injector and both breakers.
+  EXPECT_GT(ref.for_run.faults.total_injected(), 0u);
+  EXPECT_EQ(ref.for_run.faults.run_degradations[static_cast<int>(
+                fault::UnitClass::Mul)],
+            1u);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Run got = run(threads);
+    EXPECT_TRUE(same_bits(got.task_out, ref.task_out));
+    EXPECT_TRUE(same_bits(got.for_out, ref.for_out));
+    for (std::size_t k = 0; k < kOuter; ++k)
+      expect_same_run(got.task_runs[k], ref.task_runs[k]);
+    expect_same_run(got.for_run, ref.for_run);
   }
 }
 
